@@ -35,8 +35,7 @@ const ProtocolRegistration kRegisterBrokenLostack{
     [](Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg, const BuildOptions& opts) {
       AlgoBOptions o;
       o.name = "broken-lostack";
-      o.coordinator = static_cast<std::size_t>(opts.get_int("coordinator", 0));
-      o.wal_dir = opts.get("wal_dir", "");
+      o.parse(opts);
       // Always replicated and always unsafe: without a backup to fail over
       // to there is no crash for the schedule to inject, and without the
       // premature ack there is no bug.

@@ -1,7 +1,6 @@
 #include "proto/adaptive/adaptive.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -10,264 +9,9 @@
 
 #include "common/assert.hpp"
 #include "core/registry.hpp"
-#include "proto/coor_writer.hpp"
-#include "proto/replica.hpp"
-#include "proto/version_store.hpp"
 
 namespace snowkit {
 namespace {
-
-/// Server for the adaptive layer: the union of ServerB and ServerC plus the
-/// coordinator's per-object write-rate tracker.  Storage, GC and replication
-/// are byte-for-byte the algo-b/algo-c machinery; the adaptive additions are
-/// the batched read handlers (answered immediately — N holds) and the EWMA /
-/// mode table, which is ADVISORY state: it is never replicated, never
-/// WAL-logged, and resets with the lineage on crash, because modes only
-/// shape messages, never the version a READ serves.
-class ServerAdapt final : public Node {
- public:
-  ServerAdapt(std::size_t k, bool is_coordinator, bool gc, double switch_up,
-              double switch_down, TimeNs ewma_tau_ns,
-              std::optional<Replicator::Config> repl = std::nullopt,
-              std::unique_ptr<WalStorage> wal = nullptr)
-      : k_(k), is_coordinator_(is_coordinator), gc_(gc), up_(switch_up), down_(switch_down),
-        tau_ns_(ewma_tau_ns) {
-    if (is_coordinator_) {
-      list_.emplace(k_);
-      reset_adaptive_state();
-    }
-    if (repl) {
-      repl_ = std::make_unique<Replicator>(
-          std::move(*repl), std::move(wal),
-          [this](NodeId to, Message m) { send(to, std::move(m)); },
-          [this](NodeId from, const Message& m) { on_message(from, m); }, &stores_, &list_);
-    }
-  }
-
-  void on_start() override {
-    if (repl_ != nullptr) {
-      rt().watch_node(id(), repl_->peer_node());
-      repl_->boot();
-    }
-  }
-
-  bool supports_crash() const override { return repl_ != nullptr; }
-
-  void on_crash() override {
-    stores_.clear();
-    if (is_coordinator_) {
-      list_.emplace(k_);
-      reset_adaptive_state();  // advisory state dies with the lineage
-    }
-    repl_->on_crash();
-  }
-
-  std::uint64_t switches() const { return switches_; }
-
-  void on_message(NodeId from, const Message& m) override {
-    if (repl_ != nullptr) {
-      if (repl_->consume(from, m)) return;
-      if (!repl_->is_primary()) {
-        // Stale route: park or redirect, never drop (see defer_client).
-        repl_->defer_client(from, m);
-        return;
-      }
-    }
-    if (const auto* wv = std::get_if<WriteValReq>(&m.payload)) {
-      if (repl_ != nullptr) {
-        ReplRecord rec;
-        rec.kind = ReplRecord::kInsert;
-        rec.obj = wv->obj;
-        rec.key = wv->key;
-        rec.value = wv->value;
-        const WriteValAck ack{wv->key, wv->obj};
-        repl_->append(std::move(rec),
-                      [this, from, txn = m.txn, ack] { send(from, Message{txn, ack}); });
-      } else {
-        stores_[wv->obj].insert(wv->key, wv->value);
-        send(from, Message{m.txn, WriteValAck{wv->key, wv->obj}});
-      }
-      return;
-    }
-    if (const auto* rb = std::get_if<ReadValBatchReq>(&m.payload)) {
-      // Round-2 batch: every same-server object of one READ in one frame.
-      ReadValBatchResp resp;
-      resp.entries.reserve(rb->entries.size());
-      for (const BatchReadEntry& e : rb->entries) {
-        VersionStore& vals = stores_[e.obj];
-        if (gc_) vals.advance_watermark(rb->watermark);
-        if (repl_ != nullptr) {
-          // Failover can GC past a key an old lineage promised: answer
-          // found=false and the reader restarts from the coordinator.
-          const auto v = vals.try_get(e.key);
-          resp.entries.push_back({e.obj, e.key, v.value_or(kInitialValue), v.has_value()});
-        } else {
-          resp.entries.push_back({e.obj, e.key, vals.get(e.key), true});
-        }
-      }
-      send(from, Message{m.txn, resp});
-      return;
-    }
-    if (const auto* pb = std::get_if<ReadValsBatchReq>(&m.payload)) {
-      // Round-1 prefetch: bounded version lists for the READ's C-mode
-      // objects on this server (the live chain — <=|W|+1 with GC flowing).
-      ReadValsBatchResp resp;
-      resp.entries.reserve(pb->objs.size());
-      for (ObjectId obj : pb->objs) {
-        VersionStore& vals = stores_[obj];
-        if (gc_) vals.advance_watermark(pb->watermark);
-        resp.entries.push_back({obj, vals.all()});
-      }
-      send(from, Message{m.txn, resp});
-      return;
-    }
-    if (const auto* rv = std::get_if<ReadValReq>(&m.payload)) {
-      // Un-batched fallback path, identical to ServerB (not used by
-      // ReaderAdapt, but the server stays a strict superset of B).
-      VersionStore& vals = stores_[rv->obj];
-      if (gc_) vals.advance_watermark(rv->watermark);
-      if (repl_ != nullptr) {
-        const auto v = vals.try_get(rv->key);
-        send(from, Message{m.txn, ReadValResp{rv->obj, rv->key,
-                                              v.value_or(kInitialValue), v.has_value()}});
-      } else {
-        send(from, Message{m.txn, ReadValResp{rv->obj, rv->key, vals.get(rv->key)}});
-      }
-      return;
-    }
-    if (repl_ != nullptr && gc_) {
-      // Finalize notices mutate GC state, so they ride the replicated log;
-      // read-done stays primary-local (reader floors are per-lineage).
-      if (const auto* fr = std::get_if<FinalizeReq>(&m.payload)) {
-        ReplRecord rec;
-        rec.kind = ReplRecord::kFinalize;
-        rec.obj = fr->obj;
-        rec.key = fr->key;
-        rec.position = fr->position;
-        rec.watermark = fr->watermark;
-        repl_->append(std::move(rec), nullptr);
-        return;
-      }
-      if (const auto* fc = std::get_if<FinalizeCoorReq>(&m.payload)) {
-        SNOW_CHECK_MSG(is_coordinator_, "finalize-coor sent to non-coordinator");
-        ReplRecord rec;
-        rec.kind = ReplRecord::kCoorFinalize;
-        rec.position = fc->position;
-        repl_->append(std::move(rec), nullptr);
-        return;
-      }
-    }
-    if (handle_gc_notice(from, m, gc_, is_coordinator_, stores_, list_)) return;
-    if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
-      SNOW_CHECK_MSG(is_coordinator_, "update-coor sent to non-coordinator");
-      if (repl_ != nullptr) {
-        handle_update_coor(from, m.txn, *uc);
-      } else {
-        observe_write(uc->mask);
-        const Tag pos = list_->push(uc->key, uc->mask);
-        send(from, Message{m.txn, UpdateCoorAck{pos, list_->watermark()}});
-      }
-      return;
-    }
-    if (std::holds_alternative<GetTagArrReq>(m.payload)) {
-      SNOW_CHECK_MSG(is_coordinator_, "get-tag-arr sent to non-coordinator");
-      list_->register_reader(from, m.txn);
-      AdaptTagArrResp resp;
-      // t_r is the newest List position overall (Lemma 20 P2; see algo_b).
-      resp.tag = list_->tag();
-      resp.watermark = list_->watermark();
-      resp.latest.resize(k_);
-      for (std::size_t i = 0; i < k_; ++i) {
-        resp.latest[i] = list_->latest(static_cast<ObjectId>(i));
-      }
-      resp.modes = modes_;
-      resp.mode_epoch = mode_epoch_;
-      send(from, Message{m.txn, resp});
-      return;
-    }
-    SNOW_UNREACHABLE("adaptive server got unexpected payload");
-  }
-
- private:
-  void reset_adaptive_state() {
-    modes_.assign(k_, 0);
-    ewma_.assign(k_, 0.0);
-    ewma_last_.assign(k_, 0);
-    mode_epoch_ = 0;
-  }
-
-  /// Per-object write-rate tracker: decay the credit by exp(-dt/tau), add 1
-  /// per masked object, flip the mode with hysteresis.  Runs on the primary
-  /// at update-coor time, so it observes exactly the listing traffic; it
-  /// reads only Runtime::now_ns (virtual in the sim), so replayed schedules
-  /// re-derive identical switch sequences.
-  void observe_write(const std::vector<std::uint8_t>& mask) {
-    const TimeNs now = rt().now_ns();
-    const std::size_t n = std::min(k_, mask.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (mask[i] == 0) continue;
-      double& credit = ewma_[i];
-      if (now > ewma_last_[i]) {
-        credit *= std::exp(-static_cast<double>(now - ewma_last_[i]) /
-                           static_cast<double>(tau_ns_));
-      }
-      credit += 1.0;
-      ewma_last_[i] = now;
-      const std::uint8_t want = modes_[i] == 0 ? (credit >= up_ ? 1 : 0)
-                                               : (credit <= down_ ? 0 : 1);
-      if (want != modes_[i]) {
-        modes_[i] = want;
-        ++mode_epoch_;
-        ++switches_;
-        rt().note_switch(static_cast<ObjectId>(i), want);
-      }
-    }
-  }
-
-  void handle_update_coor(NodeId from, TxnId txn, const UpdateCoorReq& uc) {
-    // Takeover-rerouted retries are deduplicated by (writer, txn): re-ack a
-    // listing the old lineage already committed, never double-list (and
-    // never double-credit the write-rate tracker).
-    switch (repl_->check_push(from, txn)) {
-      case Replicator::PushStatus::kPending:
-        return;  // already logged; the commit waiter will ack
-      case Replicator::PushStatus::kCommitted:
-        send(from, Message{txn, UpdateCoorAck{repl_->committed_position(from),
-                                              list_->watermark()}});
-        return;
-      case Replicator::PushStatus::kNew:
-        break;
-    }
-    observe_write(uc.mask);
-    ReplRecord rec;
-    rec.kind = ReplRecord::kListPush;
-    rec.key = uc.key;
-    rec.mask = uc.mask;
-    rec.txn = txn;
-    rec.writer = from;
-    rec.position = repl_->next_push_position();
-    const Tag pos = rec.position;
-    repl_->append(std::move(rec), [this, from, txn, pos] {
-      send(from, Message{txn, UpdateCoorAck{pos, list_->watermark()}});
-    });
-  }
-
-  std::size_t k_;
-  bool is_coordinator_;
-  bool gc_;
-  double up_;
-  double down_;
-  TimeNs tau_ns_;
-  std::map<ObjectId, VersionStore> stores_;
-  std::optional<CoorList> list_;      ///< coordinator only.
-  std::unique_ptr<Replicator> repl_;  ///< replicas=2 only.
-  // Advisory adaptive state (coordinator only; dies with the lineage).
-  std::vector<std::uint8_t> modes_;
-  std::vector<double> ewma_;
-  std::vector<TimeNs> ewma_last_;
-  std::uint64_t mode_epoch_{0};
-  std::uint64_t switches_{0};
-};
 
 /// Adaptive reader.  Round 1: get-tag-arr to the coordinator plus batched
 /// prefetches for C-mode and locally-uncached objects.  At the tag array,
@@ -276,7 +20,7 @@ class ServerAdapt final : public Node {
 /// latest[obj]), prefetched list, or a batched round-2 fetch.  Whatever the
 /// source, the value served is the one stored under latest[obj], so the
 /// history is exactly what ReaderB would have produced.
-class ReaderAdapt final : public Node, public ReadClientApi {
+class ReaderAdapt final : public CoorReader {
  public:
   ReaderAdapt(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard,
               bool replicated, bool cache_reads, bool broken_cache)
@@ -294,8 +38,6 @@ class ReaderAdapt final : public Node, public ReadClientApi {
     pending_->cb = std::move(cb);
     send_round1();
   }
-
-  NodeId node_id() const override { return id(); }
 
   const AdaptiveStats& stats() const { return stats_; }
 
@@ -534,23 +276,14 @@ class ReaderAdapt final : public Node, public ReadClientApi {
   std::optional<Pending> pending_;
 };
 
-class SystemAdapt final : public AdaptiveSystem {
+class SystemAdapt final : public CoorSystem<AdaptiveSystem> {
  public:
-  SystemAdapt(std::string name, const SystemConfig& cfg, Runtime& rt,
-              std::vector<ReaderAdapt*> readers, std::vector<CoorWriter*> writers,
-              std::vector<ServerAdapt*> coordinators)
-      : AdaptiveSystem(std::move(name), cfg, rt), readers_(std::move(readers)),
-        writers_(std::move(writers)), coordinators_(std::move(coordinators)) {}
-
-  std::size_t num_readers() const override { return readers_.size(); }
-  std::size_t num_writers() const override { return writers_.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *readers_.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *writers_.at(i); }
+  using CoorSystem::CoorSystem;
 
   AdaptiveStats stats() const override {
     AdaptiveStats total;
-    for (const ReaderAdapt* r : readers_) {
-      const AdaptiveStats& s = r->stats();
+    for (const CoorReader* node : nodes_.readers) {
+      const AdaptiveStats& s = static_cast<const ReaderAdapt*>(node)->stats();
       total.reads += s.reads;
       total.one_round_reads += s.one_round_reads;
       total.cache_hits += s.cache_hits;
@@ -559,14 +292,9 @@ class SystemAdapt final : public AdaptiveSystem {
       total.prefetch_resolved += s.prefetch_resolved;
       total.round2_objects += s.round2_objects;
     }
-    for (const ServerAdapt* c : coordinators_) total.switches += c->switches();
+    for (const SnowServer* c : nodes_.coordinators) total.switches += c->switches();
     return total;
   }
-
- private:
-  std::vector<ReaderAdapt*> readers_;
-  std::vector<CoorWriter*> writers_;
-  std::vector<ServerAdapt*> coordinators_;  ///< primary (+ backup) coordinator shard.
 };
 
 const ProtocolRegistration kRegisterAdaptive{
@@ -587,11 +315,7 @@ const ProtocolRegistration kRegisterAdaptive{
     },
     [](Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg, const BuildOptions& opts) {
       AdaptiveOptions o;
-      o.coordinator = static_cast<std::size_t>(opts.get_int("coordinator", 0));
-      o.gc_versions = opts.get_bool("gc_versions", true);
-      o.replicas = static_cast<std::size_t>(opts.get_int("replicas", 1));
-      o.wal_dir = opts.get("wal_dir", "");
-      o.unsafe_ack = opts.get_bool("unsafe_ack", false);
+      o.parse(opts);
       if (opts.has("switch_up")) o.switch_up = std::stod(opts.get("switch_up"));
       if (opts.has("switch_down")) o.switch_down = std::stod(opts.get("switch_down"));
       if (opts.has("ewma_tau_ms")) {
@@ -615,88 +339,19 @@ void AdaptiveOptions::validate() const {
   if (ewma_tau_ns == 0) {
     throw std::invalid_argument("adaptive ewma_tau_ns must be positive");
   }
-  if (replicas != 1 && replicas != 2) {
-    throw std::invalid_argument("adaptive supports replicas 1 or 2, got " +
-                                std::to_string(replicas));
-  }
 }
 
 std::unique_ptr<ProtocolSystem> build_adaptive(Runtime& rt, HistoryRecorder& rec,
                                                const SystemConfig& cfg, AdaptiveOptions opts) {
-  cfg.validate();
   opts.validate();
-  const Placement place(cfg);
-  if (opts.coordinator >= place.num_servers()) {
-    throw std::invalid_argument("coordinator shard " + std::to_string(opts.coordinator) +
-                                " out of range (servers = " +
-                                std::to_string(place.num_servers()) + ")");
-  }
-  rec.attach_runtime(&rt);
-  const bool repl = opts.replicas == 2;
-  const std::size_t servers = place.num_servers();
-  const NodeId base = static_cast<NodeId>(servers + cfg.num_readers + cfg.num_writers);
-  std::vector<NodeId> clients;
-  for (std::size_t i = 0; i < cfg.num_readers + cfg.num_writers; ++i) {
-    clients.push_back(static_cast<NodeId>(servers + i));
-  }
-  const auto make_wal = [&opts](NodeId node) -> std::unique_ptr<WalStorage> {
-    if (opts.wal_dir.empty()) return std::make_unique<MemWal>();
-    return std::make_unique<FileWal>(opts.wal_dir + "/node-" + std::to_string(node) + ".wal");
-  };
-  const auto repl_cfg = [&](std::size_t s, bool primary_side) {
-    Replicator::Config c;
-    c.shard = s;
-    c.self = primary_side ? static_cast<NodeId>(s) : static_cast<NodeId>(base + s);
-    c.peer = primary_side ? static_cast<NodeId>(base + s) : static_cast<NodeId>(s);
-    c.start_primary = primary_side;
-    c.has_list = s == opts.coordinator;
-    c.num_objects = cfg.num_objects;
-    c.notify = clients;
-    c.unsafe_ack = opts.unsafe_ack;
-    return c;
-  };
-  std::vector<ServerAdapt*> coordinators;
-  for (std::size_t i = 0; i < servers; ++i) {
-    auto node = repl ? std::make_unique<ServerAdapt>(
-                           cfg.num_objects, i == opts.coordinator, opts.gc_versions,
-                           opts.switch_up, opts.switch_down, opts.ewma_tau_ns,
-                           repl_cfg(i, true), make_wal(static_cast<NodeId>(i)))
-                     : std::make_unique<ServerAdapt>(cfg.num_objects, i == opts.coordinator,
-                                                     opts.gc_versions, opts.switch_up,
-                                                     opts.switch_down, opts.ewma_tau_ns);
-    if (i == opts.coordinator) coordinators.push_back(node.get());
-    const NodeId id = rt.add_node(std::move(node));
-    SNOW_CHECK(id == i);  // servers occupy node ids [0, s)
-  }
-  std::vector<ReaderAdapt*> readers;
-  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-    auto node = std::make_unique<ReaderAdapt>(rec, place, opts.coordinator, repl,
-                                              opts.cache_reads, opts.broken_cache);
-    readers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  std::vector<CoorWriter*> writers;
-  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-    auto node = std::make_unique<CoorWriter>(rec, place, opts.coordinator,
-                                             /*send_finalize=*/opts.gc_versions, repl);
-    writers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  if (repl) {
-    // Backup shards live AFTER the clients so existing node layouts (and the
-    // scripted adversary schedules that rely on them) are unchanged.
-    for (std::size_t s = 0; s < servers; ++s) {
-      auto node = std::make_unique<ServerAdapt>(
-          cfg.num_objects, s == opts.coordinator, opts.gc_versions, opts.switch_up,
-          opts.switch_down, opts.ewma_tau_ns, repl_cfg(s, false),
-          make_wal(static_cast<NodeId>(base + s)));
-      if (s == opts.coordinator) coordinators.push_back(node.get());
-      const NodeId id = rt.add_node(std::move(node));
-      SNOW_CHECK(id == base + s);
-    }
-  }
-  return std::make_unique<SystemAdapt>(opts.name, cfg, rt, std::move(readers),
-                                       std::move(writers), std::move(coordinators));
+  CoorNodes nodes = add_coor_nodes(
+      rt, rec, cfg, opts, TagArrShape::kModes,
+      [&](const Placement& place, bool replicated) {
+        return std::make_unique<ReaderAdapt>(rec, place, opts.coordinator, replicated,
+                                             opts.cache_reads, opts.broken_cache);
+      },
+      ModeTrackerConfig{opts.switch_up, opts.switch_down, opts.ewma_tau_ns});
+  return std::make_unique<SystemAdapt>(opts.name, cfg, rt, std::move(nodes));
 }
 
 }  // namespace snowkit

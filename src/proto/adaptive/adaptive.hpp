@@ -38,19 +38,14 @@
 #include <memory>
 #include <string>
 
-#include "proto/api.hpp"
+#include "proto/coor_system.hpp"
 
 namespace snowkit {
 
-struct AdaptiveOptions {
-  /// Which server shard acts as coordinator s* (index < server_count()).
-  std::size_t coordinator{0};
-  /// Watermark version GC (default on), exactly as in algo-b/algo-c.
-  bool gc_versions{true};
-  /// 1 = failure-free servers; 2 = WAL-backed primary/backup shards.
-  std::size_t replicas{1};
-  std::string wal_dir;
-  bool unsafe_ack{false};
+/// The shared coordinator options (proto/coor_system.hpp) plus the
+/// adaptive knobs.
+struct AdaptiveOptions : CoorOptions {
+  AdaptiveOptions() { name = "adaptive"; }
 
   /// B -> C when an object's EWMA write credit reaches switch_up; C -> B
   /// when it decays to switch_down.  The gap is the hysteresis band; the
@@ -73,10 +68,9 @@ struct AdaptiveOptions {
   /// differential-fuzz battery must convict.
   bool broken_cache{false};
 
-  /// System name reported to the registry/checkers.
-  std::string name{"adaptive"};
-
-  void validate() const;  ///< throws std::invalid_argument on bad knobs.
+  /// Throws std::invalid_argument on bad adaptive knobs (the shared options
+  /// are checked by the builder).
+  void validate() const;
 };
 
 /// Counters the adaptive layer exposes for benches and the cache-invariant

@@ -2,189 +2,15 @@
 
 #include <map>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "core/registry.hpp"
-#include "proto/coor_writer.hpp"
-#include "proto/replica.hpp"
-#include "proto/version_store.hpp"
 
 namespace snowkit {
 namespace {
 
-/// Server for Algorithm B.  Every server stores per-object Vals; the
-/// coordinator s* additionally maintains List (as a CoorList with
-/// incremental per-object indexes) and answers get-tag-arr / update-coor.
-///
-/// With GC on (the default), writers fan out finalize notices carrying the
-/// coordinator's read watermark and readers piggyback it on read-val, so
-/// Vals retains only the per-object anchor plus versions above the watermark
-/// — reads still carry exactly one version, and a requested key can never be
-/// pruned while its READ is registered (see proto/version_store.hpp).
-///
-/// With `replicas 2` the server embeds a Replicator (proto/replica.hpp):
-/// state mutations go through the replicated log, write acks wait for the
-/// backup, and the whole node survives crash/restart through its WAL.  Reads
-/// are still served immediately — replication never blocks them.
-class ServerB final : public Node {
- public:
-  ServerB(std::size_t k, bool is_coordinator, bool gc,
-          std::optional<Replicator::Config> repl = std::nullopt,
-          std::unique_ptr<WalStorage> wal = nullptr)
-      : k_(k), is_coordinator_(is_coordinator), gc_(gc) {
-    if (is_coordinator_) list_.emplace(k_);
-    if (repl) {
-      repl_ = std::make_unique<Replicator>(
-          std::move(*repl), std::move(wal),
-          [this](NodeId to, Message m) { send(to, std::move(m)); },
-          [this](NodeId from, const Message& m) { on_message(from, m); }, &stores_, &list_);
-    }
-  }
-
-  void on_start() override {
-    if (repl_ != nullptr) {
-      rt().watch_node(id(), repl_->peer_node());
-      repl_->boot();
-    }
-  }
-
-  bool supports_crash() const override { return repl_ != nullptr; }
-
-  void on_crash() override {
-    stores_.clear();
-    if (is_coordinator_) list_.emplace(k_);
-    repl_->on_crash();
-  }
-
-  void on_message(NodeId from, const Message& m) override {
-    if (repl_ != nullptr) {
-      if (repl_->consume(from, m)) return;
-      if (!repl_->is_primary()) {
-        // Stale route: park or redirect, never drop (see defer_client).
-        repl_->defer_client(from, m);
-        return;
-      }
-    }
-    if (const auto* wv = std::get_if<WriteValReq>(&m.payload)) {
-      if (repl_ != nullptr) {
-        ReplRecord rec;
-        rec.kind = ReplRecord::kInsert;
-        rec.obj = wv->obj;
-        rec.key = wv->key;
-        rec.value = wv->value;
-        const WriteValAck ack{wv->key, wv->obj};
-        repl_->append(std::move(rec),
-                      [this, from, txn = m.txn, ack] { send(from, Message{txn, ack}); });
-      } else {
-        stores_[wv->obj].insert(wv->key, wv->value);
-        send(from, Message{m.txn, WriteValAck{wv->key, wv->obj}});
-      }
-      return;
-    }
-    if (const auto* rv = std::get_if<ReadValReq>(&m.payload)) {
-      VersionStore& vals = stores_[rv->obj];
-      if (gc_) vals.advance_watermark(rv->watermark);
-      if (repl_ != nullptr) {
-        // Failover can GC past a key an old lineage promised: answer
-        // found=false and the reader restarts from the coordinator.
-        const auto v = vals.try_get(rv->key);
-        send(from, Message{m.txn, ReadValResp{rv->obj, rv->key,
-                                              v.value_or(kInitialValue), v.has_value()}});
-      } else {
-        send(from, Message{m.txn, ReadValResp{rv->obj, rv->key, vals.get(rv->key)}});
-      }
-      return;
-    }
-    if (repl_ != nullptr && gc_) {
-      // The finalize notices mutate GC state, so they ride the replicated
-      // log; read-done stays primary-local (reader floors are per-lineage).
-      if (const auto* fr = std::get_if<FinalizeReq>(&m.payload)) {
-        ReplRecord rec;
-        rec.kind = ReplRecord::kFinalize;
-        rec.obj = fr->obj;
-        rec.key = fr->key;
-        rec.position = fr->position;
-        rec.watermark = fr->watermark;
-        repl_->append(std::move(rec), nullptr);
-        return;
-      }
-      if (const auto* fc = std::get_if<FinalizeCoorReq>(&m.payload)) {
-        SNOW_CHECK_MSG(is_coordinator_, "finalize-coor sent to non-coordinator");
-        ReplRecord rec;
-        rec.kind = ReplRecord::kCoorFinalize;
-        rec.position = fc->position;
-        repl_->append(std::move(rec), nullptr);
-        return;
-      }
-    }
-    if (handle_gc_notice(from, m, gc_, is_coordinator_, stores_, list_)) return;
-    if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
-      SNOW_CHECK_MSG(is_coordinator_, "update-coor sent to non-coordinator");
-      if (repl_ != nullptr) {
-        handle_update_coor(from, m.txn, *uc);
-      } else {
-        const Tag pos = list_->push(uc->key, uc->mask);
-        send(from, Message{m.txn, UpdateCoorAck{pos, list_->watermark()}});
-      }
-      return;
-    }
-    if (std::holds_alternative<GetTagArrReq>(m.payload)) {
-      SNOW_CHECK_MSG(is_coordinator_, "get-tag-arr sent to non-coordinator");
-      list_->register_reader(from, m.txn);
-      GetTagArrResp resp;
-      // t_r is the newest List position overall so that reads never order
-      // before a write that already completed (Lemma 20 P2); per-object
-      // version choice still uses the per-object newest entry.
-      resp.tag = list_->tag();
-      resp.watermark = list_->watermark();
-      resp.latest.resize(k_);
-      for (std::size_t i = 0; i < k_; ++i) {
-        resp.latest[i] = list_->latest(static_cast<ObjectId>(i));
-      }
-      send(from, Message{m.txn, resp});
-      return;
-    }
-    SNOW_UNREACHABLE("algo-b server got unexpected payload");
-  }
-
- private:
-  void handle_update_coor(NodeId from, TxnId txn, const UpdateCoorReq& uc) {
-    // A writer re-routed by a takeover re-sends its update-coor: re-ack if
-    // the old lineage's listing survived, otherwise list it fresh.
-    switch (repl_->check_push(from, txn)) {
-      case Replicator::PushStatus::kPending:
-        return;  // already logged; the commit waiter will ack
-      case Replicator::PushStatus::kCommitted:
-        send(from, Message{txn, UpdateCoorAck{repl_->committed_position(from),
-                                              list_->watermark()}});
-        return;
-      case Replicator::PushStatus::kNew:
-        break;
-    }
-    ReplRecord rec;
-    rec.kind = ReplRecord::kListPush;
-    rec.key = uc.key;
-    rec.mask = uc.mask;
-    rec.txn = txn;
-    rec.writer = from;
-    rec.position = repl_->next_push_position();
-    const Tag pos = rec.position;
-    repl_->append(std::move(rec), [this, from, txn, pos] {
-      send(from, Message{txn, UpdateCoorAck{pos, list_->watermark()}});
-    });
-  }
-
-  std::size_t k_;
-  bool is_coordinator_;
-  bool gc_;
-  std::map<ObjectId, VersionStore> stores_;
-  std::optional<CoorList> list_;  ///< coordinator only.
-  std::unique_ptr<Replicator> repl_;  ///< replicas=2 only.
-};
-
-class ReaderB final : public Node, public ReadClientApi {
+class ReaderB final : public CoorReader {
  public:
   ReaderB(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard, bool replicated)
       : rec_(rec), place_(place), k_(place.num_objects()), coor_shard_(coor_shard),
@@ -200,8 +26,6 @@ class ReaderB final : public Node, public ReadClientApi {
     pending_->cb = std::move(cb);
     send(routes_.node_of(coor_shard_), Message{txn, tag_arr_req()});
   }
-
-  NodeId node_id() const override { return id(); }
 
   void on_message(NodeId, const Message& m) override {
     if (const auto* tn = std::get_if<TakeoverNotice>(&m.payload)) {
@@ -317,23 +141,6 @@ class ReaderB final : public Node, public ReadClientApi {
   std::optional<Pending> pending_;
 };
 
-class SystemB final : public ProtocolSystem {
- public:
-  SystemB(std::string name, const SystemConfig& cfg, Runtime& rt,
-          std::vector<ReaderB*> readers, std::vector<CoorWriter*> writers)
-      : ProtocolSystem(std::move(name), cfg, rt), readers_(std::move(readers)),
-        writers_(std::move(writers)) {}
-
-  std::size_t num_readers() const override { return readers_.size(); }
-  std::size_t num_writers() const override { return writers_.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *readers_.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *writers_.at(i); }
-
- private:
-  std::vector<ReaderB*> readers_;
-  std::vector<CoorWriter*> writers_;
-};
-
 const ProtocolRegistration kRegisterAlgoB{
     ProtocolTraits{
         .name = "algo-b",
@@ -350,11 +157,7 @@ const ProtocolRegistration kRegisterAlgoB{
     },
     [](Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg, const BuildOptions& opts) {
       AlgoBOptions o;
-      o.coordinator = static_cast<std::size_t>(opts.get_int("coordinator", 0));
-      o.gc_versions = opts.get_bool("gc_versions", true);
-      o.replicas = static_cast<std::size_t>(opts.get_int("replicas", 1));
-      o.wal_dir = opts.get("wal_dir", "");
-      o.unsafe_ack = opts.get_bool("unsafe_ack", false);
+      o.parse(opts);
       return build_algo_b(rt, rec, cfg, o);
     }};
 
@@ -362,74 +165,11 @@ const ProtocolRegistration kRegisterAlgoB{
 
 std::unique_ptr<ProtocolSystem> build_algo_b(Runtime& rt, HistoryRecorder& rec,
                                              const SystemConfig& cfg, AlgoBOptions opts) {
-  cfg.validate();
-  const Placement place(cfg);
-  if (opts.coordinator >= place.num_servers()) {
-    throw std::invalid_argument("coordinator shard " + std::to_string(opts.coordinator) +
-                                " out of range (servers = " +
-                                std::to_string(place.num_servers()) + ")");
-  }
-  if (opts.replicas != 1 && opts.replicas != 2) {
-    throw std::invalid_argument("algo-b supports replicas 1 or 2, got " +
-                                std::to_string(opts.replicas));
-  }
-  rec.attach_runtime(&rt);
-  const bool repl = opts.replicas == 2;
-  const std::size_t servers = place.num_servers();
-  const NodeId base = static_cast<NodeId>(servers + cfg.num_readers + cfg.num_writers);
-  std::vector<NodeId> clients;
-  for (std::size_t i = 0; i < cfg.num_readers + cfg.num_writers; ++i) {
-    clients.push_back(static_cast<NodeId>(servers + i));
-  }
-  const auto make_wal = [&opts](NodeId node) -> std::unique_ptr<WalStorage> {
-    if (opts.wal_dir.empty()) return std::make_unique<MemWal>();
-    return std::make_unique<FileWal>(opts.wal_dir + "/node-" + std::to_string(node) + ".wal");
-  };
-  const auto repl_cfg = [&](std::size_t s, bool primary_side) {
-    Replicator::Config c;
-    c.shard = s;
-    c.self = primary_side ? static_cast<NodeId>(s) : static_cast<NodeId>(base + s);
-    c.peer = primary_side ? static_cast<NodeId>(base + s) : static_cast<NodeId>(s);
-    c.start_primary = primary_side;
-    c.has_list = s == opts.coordinator;
-    c.num_objects = cfg.num_objects;
-    c.notify = clients;
-    c.unsafe_ack = opts.unsafe_ack;
-    return c;
-  };
-  for (std::size_t i = 0; i < servers; ++i) {
-    auto node = repl ? std::make_unique<ServerB>(cfg.num_objects, i == opts.coordinator,
-                                                 opts.gc_versions, repl_cfg(i, true),
-                                                 make_wal(static_cast<NodeId>(i)))
-                     : std::make_unique<ServerB>(cfg.num_objects, i == opts.coordinator,
-                                                 opts.gc_versions);
-    const NodeId id = rt.add_node(std::move(node));
-    SNOW_CHECK(id == i);  // servers occupy node ids [0, s)
-  }
-  std::vector<ReaderB*> readers;
-  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-    auto node = std::make_unique<ReaderB>(rec, place, opts.coordinator, repl);
-    readers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  std::vector<CoorWriter*> writers;
-  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-    auto node = std::make_unique<CoorWriter>(rec, place, opts.coordinator,
-                                             /*send_finalize=*/opts.gc_versions, repl);
-    writers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  if (repl) {
-    // Backup shards live AFTER the clients so existing node layouts (and the
-    // scripted adversary schedules that rely on them) are unchanged.
-    for (std::size_t s = 0; s < servers; ++s) {
-      const NodeId id = rt.add_node(std::make_unique<ServerB>(
-          cfg.num_objects, s == opts.coordinator, opts.gc_versions, repl_cfg(s, false),
-          make_wal(static_cast<NodeId>(base + s))));
-      SNOW_CHECK(id == base + s);
-    }
-  }
-  return std::make_unique<SystemB>(opts.name, cfg, rt, std::move(readers), std::move(writers));
+  return build_coor_system(rt, rec, cfg, opts, TagArrShape::kLatest,
+                           [&](const Placement& place, bool replicated) {
+                             return std::make_unique<ReaderB>(rec, place, opts.coordinator,
+                                                              replicated);
+                           });
 }
 
 }  // namespace snowkit

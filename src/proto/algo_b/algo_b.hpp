@@ -17,32 +17,15 @@
 
 #include <cstddef>
 #include <memory>
-#include <string>
 
-#include "proto/api.hpp"
+#include "proto/coor_system.hpp"
 
 namespace snowkit {
 
-struct AlgoBOptions {
-  /// Which server shard acts as coordinator s* (index < server_count()).
-  std::size_t coordinator{0};
-  /// Watermark version GC (DEFAULT ON): writers fan out finalize notices and
-  /// readers piggyback the coordinator watermark on read-val, so Vals keeps
-  /// only the per-object anchor plus versions above the watermark.  READs
-  /// still see exactly one version either way; off restores keep-everything
-  /// Vals (the paper's literal state).
-  bool gc_versions{true};
-  /// 1 = the paper's failure-free servers; 2 = crash-tolerant shards: each
-  /// server gets a WAL-backed backup replica, acks wait for replication, and
-  /// the backup takes over on primary death (proto/replica.hpp).
-  std::size_t replicas{1};
-  /// Directory for per-node WAL files; empty = in-memory WALs (sim).
-  std::string wal_dir;
-  /// FAULT INJECTION ONLY: ack writers before the backup confirms.
-  bool unsafe_ack{false};
-  /// System name reported to the registry/checkers; fault-injection stubs
-  /// that wrap this builder (fuzz/broken_lostack) register under their own.
-  std::string name{"algo-b"};
+/// The shared coordinator options (proto/coor_system.hpp).  With GC on
+/// (the default) READs still see exactly one version.
+struct AlgoBOptions : CoorOptions {
+  AlgoBOptions() { name = "algo-b"; }
 };
 
 std::unique_ptr<ProtocolSystem> build_algo_b(Runtime& rt, HistoryRecorder& rec,

@@ -3,188 +3,15 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "core/registry.hpp"
-#include "proto/coor_writer.hpp"
-#include "proto/replica.hpp"
-#include "proto/version_store.hpp"
 
 namespace snowkit {
 namespace {
 
-/// Server for Algorithm C.  Replication (replicas=2) mirrors algo-b's
-/// ServerB: a Replicator consumes replication traffic first, backups
-/// park-or-redirect client traffic (Replicator::defer_client), state
-/// mutations ride the replicated log, and write acks wait for the backup.
-/// read-vals is served immediately from committed state — N holds across
-/// failover.
-class ServerC final : public Node {
- public:
-  ServerC(std::size_t k, bool is_coordinator, bool gc,
-          std::optional<Replicator::Config> repl = std::nullopt,
-          std::unique_ptr<WalStorage> wal = nullptr)
-      : k_(k), is_coordinator_(is_coordinator), gc_(gc) {
-    if (is_coordinator_) list_.emplace(k_);
-    if (repl) {
-      repl_ = std::make_unique<Replicator>(
-          std::move(*repl), std::move(wal),
-          [this](NodeId to, Message m) { send(to, std::move(m)); },
-          [this](NodeId from, const Message& m) { on_message(from, m); }, &stores_, &list_);
-    }
-  }
-
-  void on_start() override {
-    if (repl_ != nullptr) {
-      rt().watch_node(id(), repl_->peer_node());
-      repl_->boot();
-    }
-  }
-
-  bool supports_crash() const override { return repl_ != nullptr; }
-
-  void on_crash() override {
-    stores_.clear();
-    if (is_coordinator_) list_.emplace(k_);
-    repl_->on_crash();
-  }
-
-  void on_message(NodeId from, const Message& m) override {
-    if (repl_ != nullptr) {
-      if (repl_->consume(from, m)) return;
-      if (!repl_->is_primary()) {
-        // Stale route: park or redirect, never drop (see defer_client).
-        repl_->defer_client(from, m);
-        return;
-      }
-    }
-    if (const auto* wv = std::get_if<WriteValReq>(&m.payload)) {
-      if (repl_ != nullptr) {
-        ReplRecord rec;
-        rec.kind = ReplRecord::kInsert;
-        rec.obj = wv->obj;
-        rec.key = wv->key;
-        rec.value = wv->value;
-        const WriteValAck ack{wv->key, wv->obj};
-        repl_->append(std::move(rec),
-                      [this, from, txn = m.txn, ack] { send(from, Message{txn, ack}); });
-      } else {
-        store(wv->obj).insert(wv->key, wv->value);
-        send(from, Message{m.txn, WriteValAck{wv->key, wv->obj}});
-      }
-      return;
-    }
-    if (std::holds_alternative<ReadValsReq>(m.payload)) {
-      const auto& req = std::get<ReadValsReq>(m.payload);
-      // Bounded response: the live chain — with the watermark flowing this
-      // is the paper's <=|W|+1 candidate versions, not the full history.
-      send(from, Message{m.txn, ReadValsResp{req.obj, store(req.obj).all()}});
-      return;
-    }
-    if (repl_ != nullptr && gc_) {
-      // Finalize notices mutate GC state, so they ride the replicated log;
-      // read-done stays primary-local (reader floors are per-lineage).
-      if (const auto* fr = std::get_if<FinalizeReq>(&m.payload)) {
-        ReplRecord rec;
-        rec.kind = ReplRecord::kFinalize;
-        rec.obj = fr->obj;
-        rec.key = fr->key;
-        rec.position = fr->position;
-        rec.watermark = fr->watermark;
-        repl_->append(std::move(rec), nullptr);
-        return;
-      }
-      if (const auto* fc = std::get_if<FinalizeCoorReq>(&m.payload)) {
-        SNOW_CHECK_MSG(is_coordinator_, "finalize-coor sent to non-coordinator");
-        ReplRecord rec;
-        rec.kind = ReplRecord::kCoorFinalize;
-        rec.position = fc->position;
-        repl_->append(std::move(rec), nullptr);
-        return;
-      }
-    }
-    if (handle_gc_notice(from, m, gc_, is_coordinator_, stores_, list_)) return;
-    if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
-      SNOW_CHECK_MSG(is_coordinator_, "update-coor sent to non-coordinator");
-      if (repl_ != nullptr) {
-        handle_update_coor(from, m.txn, *uc);
-      } else {
-        const Tag pos = list_->push(uc->key, uc->mask);
-        send(from, Message{m.txn, UpdateCoorAck{pos, list_->watermark()}});
-      }
-      return;
-    }
-    if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {
-      SNOW_CHECK_MSG(is_coordinator_, "get-tag-arr sent to non-coordinator");
-      list_->register_reader(from, m.txn);
-      send(from, Message{m.txn, build_tag_arr(*gt)});
-      return;
-    }
-    SNOW_UNREACHABLE("algo-c server got unexpected payload");
-  }
-
- private:
-  VersionStore& store(ObjectId obj) { return stores_[obj]; }
-
-  void handle_update_coor(NodeId from, TxnId txn, const UpdateCoorReq& uc) {
-    // Takeover-rerouted retries are deduplicated by (writer, txn): re-ack a
-    // listing the old lineage already committed, never double-list.
-    switch (repl_->check_push(from, txn)) {
-      case Replicator::PushStatus::kPending:
-        return;  // already logged; the commit waiter will ack
-      case Replicator::PushStatus::kCommitted:
-        send(from, Message{txn, UpdateCoorAck{repl_->committed_position(from),
-                                              list_->watermark()}});
-        return;
-      case Replicator::PushStatus::kNew:
-        break;
-    }
-    ReplRecord rec;
-    rec.kind = ReplRecord::kListPush;
-    rec.key = uc.key;
-    rec.mask = uc.mask;
-    rec.txn = txn;
-    rec.writer = from;
-    rec.position = repl_->next_push_position();
-    const Tag pos = rec.position;
-    repl_->append(std::move(rec), [this, from, txn, pos] {
-      send(from, Message{txn, UpdateCoorAck{pos, list_->watermark()}});
-    });
-  }
-
-  GetTagArrResp build_tag_arr(const GetTagArrReq& req) const {
-    GetTagArrResp resp;
-    // t_r is the newest List position overall (Lemma 20 P2; see algo_b).
-    // The feasibility descent may settle lower, but only past positions of
-    // writes still concurrent with the READ, so no real-time inversion.
-    resp.tag = list_->tag();
-    resp.watermark = list_->watermark();
-    resp.latest.resize(k_);
-    resp.history.resize(k_);
-    for (std::size_t i = 0; i < k_; ++i) {
-      const ObjectId obj = static_cast<ObjectId>(i);
-      resp.latest[i] = list_->latest(obj);
-      if (i < req.want.size() && req.want[i] != 0) {
-        // The live history: the object's anchor entry plus everything above
-        // the watermark — all a READ registered at or after this instant can
-        // legally resolve against.
-        resp.history[i] = list_->history_vec(obj);
-      }
-    }
-    return resp;
-  }
-
-  std::size_t k_;
-  bool is_coordinator_;
-  bool gc_;
-  std::map<ObjectId, VersionStore> stores_;  ///< per hosted object.
-  std::optional<CoorList> list_;             ///< coordinator only.
-  std::unique_ptr<Replicator> repl_;         ///< replicas=2 only.
-};
-
-class ReaderC final : public Node, public ReadClientApi {
+class ReaderC final : public CoorReader {
  public:
   ReaderC(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard, bool may_retry)
       : rec_(rec), place_(place), k_(place.num_objects()), coor_shard_(coor_shard),
@@ -201,8 +28,6 @@ class ReaderC final : public Node, public ReadClientApi {
     pending_->attempts = 1;
     send_round();
   }
-
-  NodeId node_id() const override { return id(); }
 
   void on_message(NodeId, const Message& m) override {
     if (const auto* tn = std::get_if<TakeoverNotice>(&m.payload)) {
@@ -271,10 +96,17 @@ class ReaderC final : public Node, public ReadClientApi {
     std::sort(cuts.begin(), cuts.end(), std::greater<>());
     cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
-    for (Tag t : cuts) {
+    for (std::size_t i = 0; i < cuts.size(); ++i) {
       std::vector<std::pair<ObjectId, Value>> values;
-      if (!try_cut(t, values)) continue;
-      complete(t, std::move(values));
+      if (!try_cut(cuts[i], values)) continue;
+      // Every position from this cut up to just below the next candidate
+      // (cuts[0] is t_r) resolves identically, since no object of this READ
+      // is listed in between.  Record the highest: a WRITE on other objects
+      // listed in that range may have completed before this READ began, and
+      // the lowest would order the READ before it (Lemma 20 P2).  The next
+      // candidate is infeasible, so it lies above t*.
+      const Tag tag = i == 0 ? cuts[0] : cuts[i - 1] - 1;
+      complete(tag, std::move(values));
       return;
     }
 
@@ -335,23 +167,6 @@ class ReaderC final : public Node, public ReadClientApi {
   std::optional<Pending> pending_;
 };
 
-class SystemC final : public ProtocolSystem {
- public:
-  SystemC(const SystemConfig& cfg, Runtime& rt, std::vector<ReaderC*> readers,
-          std::vector<CoorWriter*> writers)
-      : ProtocolSystem("algo-c", cfg, rt), readers_(std::move(readers)),
-        writers_(std::move(writers)) {}
-
-  std::size_t num_readers() const override { return readers_.size(); }
-  std::size_t num_writers() const override { return writers_.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *readers_.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *writers_.at(i); }
-
- private:
-  std::vector<ReaderC*> readers_;
-  std::vector<CoorWriter*> writers_;
-};
-
 const ProtocolRegistration kRegisterAlgoC{
     ProtocolTraits{
         .name = "algo-c",
@@ -368,11 +183,7 @@ const ProtocolRegistration kRegisterAlgoC{
     },
     [](Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg, const BuildOptions& opts) {
       AlgoCOptions o;
-      o.coordinator = static_cast<std::size_t>(opts.get_int("coordinator", 0));
-      o.gc_versions = opts.get_bool("gc_versions", true);
-      o.replicas = static_cast<std::size_t>(opts.get_int("replicas", 1));
-      o.wal_dir = opts.get("wal_dir", "");
-      o.unsafe_ack = opts.get_bool("unsafe_ack", false);
+      o.parse(opts);
       return build_algo_c(rt, rec, cfg, o);
     }};
 
@@ -380,75 +191,12 @@ const ProtocolRegistration kRegisterAlgoC{
 
 std::unique_ptr<ProtocolSystem> build_algo_c(Runtime& rt, HistoryRecorder& rec,
                                              const SystemConfig& cfg, AlgoCOptions opts) {
-  cfg.validate();
-  const Placement place(cfg);
-  if (opts.coordinator >= place.num_servers()) {
-    throw std::invalid_argument("coordinator shard " + std::to_string(opts.coordinator) +
-                                " out of range (servers = " +
-                                std::to_string(place.num_servers()) + ")");
-  }
-  if (opts.replicas != 1 && opts.replicas != 2) {
-    throw std::invalid_argument("algo-c supports replicas 1 or 2, got " +
-                                std::to_string(opts.replicas));
-  }
-  rec.attach_runtime(&rt);
-  const bool repl = opts.replicas == 2;
-  const std::size_t servers = place.num_servers();
-  const NodeId base = static_cast<NodeId>(servers + cfg.num_readers + cfg.num_writers);
-  std::vector<NodeId> clients;
-  for (std::size_t i = 0; i < cfg.num_readers + cfg.num_writers; ++i) {
-    clients.push_back(static_cast<NodeId>(servers + i));
-  }
-  const auto make_wal = [&opts](NodeId node) -> std::unique_ptr<WalStorage> {
-    if (opts.wal_dir.empty()) return std::make_unique<MemWal>();
-    return std::make_unique<FileWal>(opts.wal_dir + "/node-" + std::to_string(node) + ".wal");
-  };
-  const auto repl_cfg = [&](std::size_t s, bool primary_side) {
-    Replicator::Config c;
-    c.shard = s;
-    c.self = primary_side ? static_cast<NodeId>(s) : static_cast<NodeId>(base + s);
-    c.peer = primary_side ? static_cast<NodeId>(base + s) : static_cast<NodeId>(s);
-    c.start_primary = primary_side;
-    c.has_list = s == opts.coordinator;
-    c.num_objects = cfg.num_objects;
-    c.notify = clients;
-    c.unsafe_ack = opts.unsafe_ack;
-    return c;
-  };
-  for (std::size_t i = 0; i < servers; ++i) {
-    auto node = repl ? std::make_unique<ServerC>(cfg.num_objects, i == opts.coordinator,
-                                                 opts.gc_versions, repl_cfg(i, true),
-                                                 make_wal(static_cast<NodeId>(i)))
-                     : std::make_unique<ServerC>(cfg.num_objects, i == opts.coordinator,
-                                                 opts.gc_versions);
-    const NodeId id = rt.add_node(std::move(node));
-    SNOW_CHECK(id == i);
-  }
-  std::vector<ReaderC*> readers;
-  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-    auto node = std::make_unique<ReaderC>(rec, place, opts.coordinator,
-                                          /*may_retry=*/opts.gc_versions || repl);
-    readers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  std::vector<CoorWriter*> writers;
-  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-    auto node = std::make_unique<CoorWriter>(rec, place, opts.coordinator,
-                                             /*send_finalize=*/opts.gc_versions, repl);
-    writers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  if (repl) {
-    // Backup shards live AFTER the clients so existing node layouts (and the
-    // scripted adversary schedules that rely on them) are unchanged.
-    for (std::size_t s = 0; s < servers; ++s) {
-      const NodeId id = rt.add_node(std::make_unique<ServerC>(
-          cfg.num_objects, s == opts.coordinator, opts.gc_versions, repl_cfg(s, false),
-          make_wal(static_cast<NodeId>(base + s))));
-      SNOW_CHECK(id == base + s);
-    }
-  }
-  return std::make_unique<SystemC>(cfg, rt, std::move(readers), std::move(writers));
+  return build_coor_system(rt, rec, cfg, opts, TagArrShape::kWithHistory,
+                           [&](const Placement& place, bool replicated) {
+                             return std::make_unique<ReaderC>(
+                                 rec, place, opts.coordinator,
+                                 /*may_retry=*/opts.gc_versions || replicated);
+                           });
 }
 
 }  // namespace snowkit

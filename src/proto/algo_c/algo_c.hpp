@@ -33,25 +33,14 @@
 
 #include <cstddef>
 #include <memory>
-#include <string>
 
-#include "proto/api.hpp"
+#include "proto/coor_system.hpp"
 
 namespace snowkit {
 
-struct AlgoCOptions {
-  /// Which server shard acts as coordinator s* (index < server_count()).
-  std::size_t coordinator{0};
-  /// Finalize fan-out + watermark version GC (bounded responses).  Off means
-  /// the paper's literal keep-everything Vals, which grows without bound.
-  bool gc_versions{true};
-  /// 1 = the paper's failure-free servers; 2 = crash-tolerant shards (see
-  /// AlgoBOptions::replicas and proto/replica.hpp).
-  std::size_t replicas{1};
-  /// Directory for per-node WAL files; empty = in-memory WALs (sim).
-  std::string wal_dir;
-  /// FAULT INJECTION ONLY: ack writers before the backup confirms.
-  bool unsafe_ack{false};
+/// The shared coordinator options (proto/coor_system.hpp).
+struct AlgoCOptions : CoorOptions {
+  AlgoCOptions() { name = "algo-c"; }
 };
 
 std::unique_ptr<ProtocolSystem> build_algo_c(Runtime& rt, HistoryRecorder& rec,

@@ -2,17 +2,15 @@
 
 #include <map>
 #include <optional>
-#include <stdexcept>
 
 #include "common/assert.hpp"
 #include "core/registry.hpp"
-#include "proto/coor_server.hpp"
-#include "proto/coor_writer.hpp"
+#include "proto/coor_system.hpp"
 
 namespace snowkit {
 namespace {
 
-class ReaderO final : public Node, public ReadClientApi {
+class ReaderO final : public CoorReader {
  public:
   ReaderO(HistoryRecorder& rec, const Placement& place, NodeId coordinator, int max_optimistic)
       : rec_(rec), place_(place), k_(place.num_objects()), coordinator_(coordinator),
@@ -29,8 +27,6 @@ class ReaderO final : public Node, public ReadClientApi {
     for (ObjectId obj : pending_->objs) pending_->guesses[obj] = kInitialKey;
     send_round();
   }
-
-  NodeId node_id() const override { return id(); }
 
   void on_message(NodeId, const Message& m) override {
     if (const auto* ta = std::get_if<GetTagArrResp>(&m.payload)) {
@@ -157,23 +153,6 @@ class ReaderO final : public Node, public ReadClientApi {
   std::optional<Pending> pending_;
 };
 
-class SystemO final : public ProtocolSystem {
- public:
-  SystemO(const SystemConfig& cfg, Runtime& rt, std::vector<ReaderO*> readers,
-          std::vector<CoorWriter*> writers)
-      : ProtocolSystem("occ-reads", cfg, rt), readers_(std::move(readers)),
-        writers_(std::move(writers)) {}
-
-  std::size_t num_readers() const override { return readers_.size(); }
-  std::size_t num_writers() const override { return writers_.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *readers_.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *writers_.at(i); }
-
- private:
-  std::vector<ReaderO*> readers_;
-  std::vector<CoorWriter*> writers_;
-};
-
 const ProtocolRegistration kRegisterOcc{
     ProtocolTraits{
         .name = "occ-reads",
@@ -199,34 +178,16 @@ const ProtocolRegistration kRegisterOcc{
 
 std::unique_ptr<ProtocolSystem> build_occ(Runtime& rt, HistoryRecorder& rec,
                                           const SystemConfig& cfg, OccOptions opts) {
-  cfg.validate();
-  const Placement place(cfg);
-  if (opts.coordinator >= place.num_servers()) {
-    throw std::invalid_argument("coordinator shard " + std::to_string(opts.coordinator) +
-                                " out of range (servers = " +
-                                std::to_string(place.num_servers()) + ")");
-  }
-  rec.attach_runtime(&rt);
-  for (std::size_t i = 0; i < place.num_servers(); ++i) {
-    const NodeId id = rt.add_node(std::make_unique<CoorServer>(
-        cfg.num_objects, i == opts.coordinator, opts.gc_versions));
-    SNOW_CHECK(id == i);
-  }
-  const NodeId coor = static_cast<NodeId>(opts.coordinator);
-  std::vector<ReaderO*> readers;
-  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-    auto node = std::make_unique<ReaderO>(rec, place, coor, opts.max_optimistic_rounds);
-    readers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  std::vector<CoorWriter*> writers;
-  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-    auto node = std::make_unique<CoorWriter>(rec, place, coor,
-                                             /*send_finalize=*/opts.gc_versions);
-    writers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  return std::make_unique<SystemO>(cfg, rt, std::move(readers), std::move(writers));
+  CoorOptions coor;
+  coor.coordinator = opts.coordinator;
+  coor.gc_versions = opts.gc_versions;
+  coor.name = "occ-reads";
+  return build_coor_system(rt, rec, cfg, coor, TagArrShape::kLatest,
+                           [&](const Placement& place, bool) {
+                             return std::make_unique<ReaderO>(
+                                 rec, place, static_cast<NodeId>(opts.coordinator),
+                                 opts.max_optimistic_rounds);
+                           });
 }
 
 }  // namespace snowkit

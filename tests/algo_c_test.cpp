@@ -182,5 +182,42 @@ TEST(AlgoC, CoordinatorAlsoServesItsObject) {
   EXPECT_EQ(result.values[0].second, 77);  // get-tag-arr + read-vals both at s*
 }
 
+// A READ whose objects are disjoint from a WRITE's must still record a tag
+// at or above that WRITE's when the WRITE completed before the READ began.
+// Every cut between the first feasible candidate c and the next candidate
+// above it resolves identically, so the reader records the highest of them;
+// recording c itself inverted real-time order (Lemma 20 P2).  The workload
+// is the open-loop engine at 2000 arrivals/s of virtual time: k = 64 on 4
+// range-placed servers, Zipf 0.99 with permuted ranks, 10 % READs of
+// geometric span 1-4, no replication — seed 4 hit the inversion within its
+// first ten transactions.
+TEST(AlgoC, DisjointEarlierWriteNeverOutranksALaterRead) {
+  const std::uint64_t seed = 4;
+  SimRuntime sim(make_uniform_delay(50'000, 2'000'000, seed));
+  HistoryRecorder rec(64);
+  auto sys = build_protocol("algo-c", sim, rec, SystemConfig{64, 4, 4, 4, PlacementKind::kRange});
+  TrafficModel model;
+  model.zipf_theta = 0.99;
+  model.permute_ranks = true;
+  model.read_fraction = 0.1;
+  model.read_span = SpanDist{SpanKind::kGeometric, 1, 4, 0.5};
+  model.write_span = SpanDist::fixed(2);
+  model.logical_clients = 1'000'000;
+  DriverOptions opts;
+  opts.mode = ArrivalMode::kOpenLoop;
+  opts.total_ops = 2000;
+  opts.arrival_interval_ns = 500'000;  // 2000 arrivals/s
+  opts.traffic = model;
+  opts.arrival_shards = 4;
+  WorkloadSpec spec;
+  spec.seed = seed ^ 0x3a3dull;
+  WorkloadDriver driver(sim, *sys, spec, opts);
+  driver.start();
+  sim.run_until_idle();
+  ASSERT_TRUE(driver.done());
+  const TagOrderResult verdict = check_tag_order(rec.snapshot());
+  EXPECT_TRUE(verdict.ok) << verdict.explanation;
+}
+
 }  // namespace
 }  // namespace snowkit
