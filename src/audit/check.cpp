@@ -1,7 +1,5 @@
 #include "audit/check.hpp"
 
-#include "checker/serializability.hpp"
-#include "checker/tag_order.hpp"
 #include "core/registry.hpp"
 
 namespace snowkit::audit {
@@ -10,15 +8,6 @@ AuditVerdict check_merged(const MergedAudit& m, const CheckMergedOptions& opts) 
   const ProtocolTraits& traits = ProtocolRegistry::global().traits(m.protocol);
   AuditVerdict v;
   v.protocol = m.protocol;
-  const bool s_family_expected = !traits.claims_strict_serializability;
-  const bool lossy = m.total_drops > 0 || m.unmatched_recvs > 0;
-
-  auto finding = [&](std::string checker, std::string explanation, bool s_family) {
-    v.violation = true;
-    v.findings.push_back(
-        CheckFinding{std::move(checker), std::move(explanation), s_family && s_family_expected});
-  };
-
   if (!m.history) {
     // Without the client process's snapshot there are no transactions to
     // check against — every checker in the ladder needs one.
@@ -28,61 +17,28 @@ AuditVerdict check_merged(const MergedAudit& m, const CheckMergedOptions& opts) 
         "chunk included?); all checks skipped");
     return v;
   }
-  const History& h = *m.history;
 
-  if (traits.provides_tags) {
-    v.checks_run.push_back("tag-order");
-    const TagOrderResult tags = check_tag_order(h);
-    if (!tags.ok) finding("tag-order", tags.explanation, /*s_family=*/false);
+  LadderResult ladder = run_checker_ladder(traits, *m.history, m.trace, m.num_servers,
+                                           LadderOptions{opts.max_search_txns, opts.max_states});
+  v.checks_run = std::move(ladder.checks_run);
+  v.snow = std::move(ladder.snow);
+  v.inconclusive = ladder.search_exhausted;
+  const bool lossy = m.total_drops > 0 || m.unmatched_recvs > 0;
+  for (CheckFinding& f : ladder.findings) {
+    if (lossy && f.checker == "non-blocking") {
+      // The Send proving the server responded may simply have been
+      // overwritten in its ring — a lossy capture cannot convict.
+      v.inconclusive = true;
+      v.notes.push_back("possible non-blocking violation demoted to inconclusive (" +
+                        std::to_string(m.total_drops) + " drops, " +
+                        std::to_string(m.unmatched_recvs) + " unmatched recvs): " +
+                        f.explanation);
+      continue;
+    }
+    v.findings.push_back(std::move(f));
   }
-
-  if (traits.snow_n) {
-    v.checks_run.push_back("non-blocking");
-    v.snow = analyze_snow_trace(m.trace, m.num_servers, h);
-    if (!v.snow.satisfies_n()) {
-      const std::string why = v.snow.violations.empty() ? "server blocked during a read"
-                                                        : v.snow.violations.front();
-      if (lossy) {
-        // The Send proving the server responded may simply have been
-        // overwritten in its ring — a lossy capture cannot convict.
-        v.inconclusive = true;
-        v.notes.push_back("possible non-blocking violation demoted to inconclusive (" +
-                          std::to_string(m.total_drops) + " drops, " +
-                          std::to_string(m.unmatched_recvs) + " unmatched recvs): " + why);
-      } else {
-        finding("non-blocking", why, /*s_family=*/false);
-      }
-    }
-  }
-
-  if (traits.claims_strict_serializability || traits.advertises_strict_serializability) {
-    v.checks_run.push_back("s-family-detectors");
-    if (std::string why = find_unwritten_value(h); !why.empty()) {
-      finding("unwritten-value", std::move(why), /*s_family=*/true);
-    }
-    if (std::string why = find_fractured_read(h); !why.empty()) {
-      finding("fractured-read", std::move(why), /*s_family=*/true);
-    }
-    if (std::string why = find_stale_reread(h); !why.empty()) {
-      finding("stale-reread", std::move(why), /*s_family=*/true);
-    }
-    const std::size_t completed = h.completed_reads() + h.completed_writes();
-    if (completed <= opts.max_search_txns) {
-      v.checks_run.push_back("serializability-search");
-      const CheckResult exact = check_strict_serializability(h, CheckOptions{opts.max_states});
-      if (!exact.ok && !exact.exhausted) {
-        finding("serializability", exact.explanation, /*s_family=*/true);
-      } else if (exact.exhausted) {
-        v.inconclusive = true;
-        v.notes.push_back("serializability search hit the state cap (inconclusive)");
-      }
-    } else {
-      v.notes.push_back("history too large for the exact search (" + std::to_string(completed) +
-                        " > " + std::to_string(opts.max_search_txns) +
-                        " completed txns); fast detectors only");
-    }
-  }
-
+  v.notes.insert(v.notes.end(), ladder.notes.begin(), ladder.notes.end());
+  v.violation = !v.findings.empty();
   return v;
 }
 

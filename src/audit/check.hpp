@@ -1,7 +1,7 @@
 // Stateless offline re-check of a merged audit run.
 //
-// This is the fuzzer oracle's checking ladder (fuzz/oracle.cpp) transplanted
-// to captured production runs: tag-order when the protocol assigns Lemma-20
+// Runs the checker ladder the fuzzer's oracle runs (checker/ladder.hpp) on
+// captured production runs: tag-order when the protocol assigns Lemma-20
 // tags, the SNOW non-blocking monitor over the merged trace, and the
 // strict-serializability family (fast necessary-condition detectors always,
 // the exact search when the history is small enough) for every protocol
@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "audit/merge.hpp"
-#include "checker/snow_monitor.hpp"
+#include "checker/ladder.hpp"
 
 namespace snowkit::audit {
 
@@ -38,11 +38,7 @@ struct CheckMergedOptions {
   std::size_t max_states{400'000};
 };
 
-struct CheckFinding {
-  std::string checker;  ///< "tag-order", "non-blocking", "unwritten-value", ...
-  std::string explanation;
-  bool expected{false};  ///< s-family violation on a non-truthful claimer.
-};
+using snowkit::CheckFinding;
 
 struct AuditVerdict {
   std::string protocol;

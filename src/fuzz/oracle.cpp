@@ -4,28 +4,10 @@
 #include <set>
 #include <sstream>
 
-#include "checker/serializability.hpp"
-#include "checker/snow_monitor.hpp"
-#include "checker/tag_order.hpp"
+#include "checker/ladder.hpp"
 #include "core/registry.hpp"
 
 namespace snowkit::fuzz {
-
-namespace {
-
-OracleReport violation(const ProtocolTraits& traits, bool s_family, std::string checker,
-                       std::string explanation) {
-  OracleReport r;
-  r.violation = true;
-  // Only the strict-serializability family can be an expected divergence:
-  // liveness, tag sanity and non-blocking are unconditional contracts.
-  r.expected = s_family && !traits.claims_strict_serializability;
-  r.checker = std::move(checker);
-  r.explanation = std::move(explanation);
-  return r;
-}
-
-}  // namespace
 
 bool audits_strict_serializability(const std::string& protocol) {
   const ProtocolTraits& t = ProtocolRegistry::global().traits(protocol);
@@ -42,51 +24,24 @@ std::vector<std::string> strict_serializable_class() {
 
 OracleReport check_run(const std::string& protocol, const CaseRun& run,
                        const OracleOptions& opts) {
-  const ProtocolTraits& traits = ProtocolRegistry::global().traits(protocol);
-
+  OracleReport r;
   if (!run.completed) {
-    return violation(traits, /*s_family=*/false, "liveness",
-                     "client program did not complete (deadlock or lost completion)");
+    r.violation = true;
+    r.checker = "liveness";
+    r.explanation = "client program did not complete (deadlock or lost completion)";
+    return r;
   }
-
-  if (traits.provides_tags) {
-    const TagOrderResult tags = check_tag_order(run.history);
-    if (!tags.ok) return violation(traits, /*s_family=*/false, "tag-order", tags.explanation);
-  }
-
-  if (traits.snow_n) {
-    const SnowTraceReport snow = analyze_snow_trace(run.trace, run.num_servers, run.history);
-    if (!snow.satisfies_n()) {
-      return violation(traits, /*s_family=*/false, "non-blocking",
-                       snow.violations.empty() ? "server blocked during a read"
-                                               : snow.violations.front());
-    }
-  }
-
-  const bool audited_s =
-      traits.claims_strict_serializability || traits.advertises_strict_serializability;
-  if (audited_s) {
-    if (std::string why = find_unwritten_value(run.history); !why.empty()) {
-      return violation(traits, /*s_family=*/true, "unwritten-value", std::move(why));
-    }
-    if (std::string why = find_fractured_read(run.history); !why.empty()) {
-      return violation(traits, /*s_family=*/true, "fractured-read", std::move(why));
-    }
-    if (std::string why = find_stale_reread(run.history); !why.empty()) {
-      return violation(traits, /*s_family=*/true, "stale-reread", std::move(why));
-    }
-    const std::size_t completed =
-        run.history.completed_reads() + run.history.completed_writes();
-    if (completed <= opts.max_search_txns) {
-      const CheckResult exact =
-          check_strict_serializability(run.history, CheckOptions{opts.max_states});
-      if (!exact.ok && !exact.exhausted) {
-        return violation(traits, /*s_family=*/true, "serializability", exact.explanation);
-      }
-    }
-  }
-
-  return OracleReport{};
+  const LadderResult ladder =
+      run_checker_ladder(ProtocolRegistry::global().traits(protocol), run.history, run.trace,
+                         run.num_servers,
+                         LadderOptions{opts.max_search_txns, opts.max_states, /*first_only=*/true});
+  if (ladder.findings.empty()) return r;
+  const CheckFinding& f = ladder.findings.front();
+  r.violation = true;
+  r.expected = f.expected;
+  r.checker = f.checker;
+  r.explanation = f.explanation;
+  return r;
 }
 
 DifferentialReport differential_check(const FuzzCase& base,

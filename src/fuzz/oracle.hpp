@@ -1,11 +1,11 @@
 // The fuzzer's oracle: per-run checker battery + differential cross-protocol
 // comparison.
 //
-// check_run() feeds a completed CaseRun through every checker the protocol's
-// traits make applicable — liveness, the fast strict-serializability
-// detectors, the exact search checker (on small histories), the Lemma-20
-// tag-order verifier and the trace-level non-blocking monitor — and reports
-// the first violation.  A violation is EXPECTED when the registry's ground
+// check_run() checks liveness, then feeds a completed CaseRun through the
+// checker ladder (checker/ladder.hpp) — the Lemma-20 tag-order verifier, the
+// trace-level non-blocking monitor, the fast strict-serializability
+// detectors and the exact search checker (on small histories), as the
+// protocol's traits make them applicable — and reports the first violation.  A violation is EXPECTED when the registry's ground
 // truth already denies the audited claim (eiger, naive, broken-stale): those
 // are the paper's counterexamples rediscovered, not bugs.
 //
