@@ -10,9 +10,11 @@
 // byte-identically, which is the contract the fuzzer's record/replay and
 // shrink machinery (src/fuzz) is built on.
 //
-// RandomSchedulePolicy reproduces the chaos adversary (sim/chaos.hpp) with
-// the exact RNG call order of the original run_chaos loop, so chaos seeds
-// keep their meaning.  RecordedSchedulePolicy replays a log; if the log no
+// RandomSchedulePolicy is the chaos adversary: it captures each message with
+// `hold_probability` and releases held messages at random points in random
+// order, reaching the unbounded reorderings the paper's adversary may make
+// (any finite delay) that delay models cannot.  Its RNG call order is fixed,
+// so a seed always names the same schedule.  RecordedSchedulePolicy replays a log; if the log no
 // longer matches the run (e.g. after the workload was shrunk), the runner
 // falls back to a deterministic drain that preserves liveness.
 #pragma once
@@ -93,7 +95,9 @@ class SchedulePolicy {
                                                std::size_t held_count) = 0;
 };
 
-/// The chaos adversary as a policy (same knobs & RNG streams as run_chaos).
+/// The chaos adversary: hold each message with `hold_probability`; at each
+/// step release a random held message with `release_probability` (always
+/// when the queue is empty), else deliver the next queued event.
 class RandomSchedulePolicy final : public SchedulePolicy {
  public:
   RandomSchedulePolicy(std::uint64_t seed, double hold_probability, double release_probability)
@@ -104,8 +108,8 @@ class RandomSchedulePolicy final : public SchedulePolicy {
 
   std::optional<ScheduleDecision> next(std::size_t pending_events,
                                        std::size_t held_count) override {
-    // Short-circuit order matters: it keeps the RNG call sequence identical
-    // to the original run_chaos loop, preserving historical seed behaviour.
+    // Short-circuit order matters: it fixes the RNG call sequence, so
+    // recorded seeds keep naming the same schedules.
     if (held_count > 0 && (pending_events == 0 || rng_.chance(release_p_))) {
       return ScheduleDecision{ScheduleDecisionKind::kRelease,
                               static_cast<std::uint32_t>(rng_.below(held_count))};

@@ -10,7 +10,7 @@
 #include "checker/tag_order.hpp"
 #include "core/run_workload.hpp"
 #include "core/system.hpp"
-#include "sim/chaos.hpp"
+#include "sim/schedule.hpp"
 
 namespace snowkit {
 namespace {
@@ -40,10 +40,8 @@ TEST_P(ChaosSweep, StrictProtocolsSurviveUnboundedReordering) {
   ClosedLoopDriver driver(sim, *sys, spec);
   driver.start();
 
-  ChaosOptions chaos;
-  chaos.seed = c.seed * 2654435761u;
-  chaos.hold_probability = 0.6;
-  run_chaos(sim, chaos);
+  RandomSchedulePolicy chaos(c.seed * 2654435761u, /*hold=*/0.6, /*release=*/0.35);
+  run_scheduled(sim, chaos);
   ASSERT_TRUE(driver.done()) << "chaos must preserve liveness (W property)";
 
   const History h = rec.snapshot();
@@ -96,9 +94,8 @@ TEST(ChaosSweep, NaiveFracturesFrequentlyUnderChaos) {
     spec.seed = seed;
     ClosedLoopDriver driver(sim, *sys, spec);
     driver.start();
-    ChaosOptions chaos;
-    chaos.seed = seed;
-    run_chaos(sim, chaos);
+    RandomSchedulePolicy chaos(seed, /*hold=*/0.5, /*release=*/0.35);
+    run_scheduled(sim, chaos);
     if (!find_fractured_read(rec.snapshot()).empty()) ++violations;
   }
   EXPECT_GT(violations, runs / 2)
@@ -116,9 +113,8 @@ TEST(ChaosSweep, BlockingStaysSerializableAndLive) {
     spec.seed = seed;
     ClosedLoopDriver driver(sim, *sys, spec);
     driver.start();
-    ChaosOptions chaos;
-    chaos.seed = seed + 77;
-    run_chaos(sim, chaos);
+    RandomSchedulePolicy chaos(seed + 77, /*hold=*/0.5, /*release=*/0.35);
+    run_scheduled(sim, chaos);
     ASSERT_TRUE(driver.done()) << "no deadlock under chaos";
     auto verdict = check_strict_serializability(rec.snapshot(), CheckOptions{2'000'000});
     EXPECT_TRUE(verdict.ok || verdict.exhausted) << verdict.explanation;
@@ -145,11 +141,8 @@ TEST(ChaosEdgeCases, DegenerateProbabilitiesTerminateWithBoundedDecisions) {
     spec.seed = 3;
     ClosedLoopDriver driver(sim, *sys, spec);
     driver.start();
-    ChaosOptions chaos;
-    chaos.seed = 9;
-    chaos.hold_probability = edge.hold;
-    chaos.release_probability = edge.release;
-    const std::size_t decisions = run_chaos(sim, chaos);
+    RandomSchedulePolicy chaos(9, edge.hold, edge.release);
+    const std::size_t decisions = run_scheduled(sim, chaos).decisions;
     ASSERT_TRUE(driver.done()) << "hold=" << edge.hold << " release=" << edge.release
                                << " lost liveness";
     // Every decision either delivers a queued event or releases a held
@@ -176,12 +169,9 @@ TEST(ChaosEdgeCases, MaxDecisionsGuardForcesTermination) {
   spec.seed = 5;
   ClosedLoopDriver driver(sim, *sys, spec);
   driver.start();
-  ChaosOptions chaos;
-  chaos.seed = 2;
-  chaos.hold_probability = 1.0;
-  chaos.release_probability = 0.0;
-  chaos.max_decisions = 7;  // absurdly small: the guard must take over
-  run_chaos(sim, chaos);
+  RandomSchedulePolicy chaos(2, /*hold=*/1.0, /*release=*/0.0);
+  run_scheduled(sim, chaos, /*record=*/nullptr,
+                /*max_decisions=*/7);  // absurdly small: the guard must take over
   ASSERT_TRUE(driver.done()) << "guard-mode drain must preserve liveness";
   EXPECT_EQ(sim.held_count(), 0u);
   EXPECT_EQ(sim.pending_events(), 0u);
@@ -198,9 +188,8 @@ TEST(ChaosSweep, ChaosIsDeterministicPerSeed) {
     spec.seed = 1;
     ClosedLoopDriver driver(sim, *sys, spec);
     driver.start();
-    ChaosOptions chaos;
-    chaos.seed = seed;
-    run_chaos(sim, chaos);
+    RandomSchedulePolicy chaos(seed, /*hold=*/0.5, /*release=*/0.35);
+    run_scheduled(sim, chaos);
     return sim.trace().to_text();
   };
   EXPECT_EQ(run(5), run(5));

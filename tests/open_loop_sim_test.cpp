@@ -11,7 +11,7 @@
 #include "checker/tag_order.hpp"
 #include "core/run_workload.hpp"
 #include "core/system.hpp"
-#include "sim/chaos.hpp"
+#include "sim/schedule.hpp"
 #include "sim/sim_runtime.hpp"
 
 namespace snowkit {
@@ -136,10 +136,8 @@ TEST(OpenLoopOnSim, SurvivesChaosScheduling) {
   opts.read_fraction = 0.5;
   WorkloadDriver driver(sim, *sys, spec, opts);
   driver.start();
-  ChaosOptions chaos;
-  chaos.seed = 17;
-  chaos.hold_probability = 0.6;
-  run_chaos(sim, chaos);
+  RandomSchedulePolicy chaos(17, /*hold=*/0.6, /*release=*/0.35);
+  run_scheduled(sim, chaos);
   ASSERT_TRUE(driver.done());
   EXPECT_EQ(driver.completed_reads() + driver.completed_writes(), 30u);
   const auto verdict = check_tag_order(rec.snapshot());
