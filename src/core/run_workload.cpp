@@ -105,6 +105,7 @@ WorkloadDriver::WorkloadDriver(Runtime& rt, ProtocolSystem& sys, WorkloadSpec sp
   }
   arrivals_left_ = opts_.mode == ArrivalMode::kOpenLoop && !engine ? total_ops_ : 0;
   remaining_ops_.store(total_ops_, std::memory_order_relaxed);
+  finished_ = total_ops_ == 0;
   // Open-loop arrivals chain on one owned node's executor (see
   // schedule_arrival).  Node 0 on single-process runtimes; the first
   // locally-owned node (a client) when driving a remote NetRuntime fleet.
@@ -372,18 +373,24 @@ void WorkloadDriver::engine_tick(std::size_t shard) {
 void WorkloadDriver::op_finished(bool was_read) {
   (was_read ? reads_done_ : writes_done_).fetch_add(1, std::memory_order_acq_rel);
   if (remaining_ops_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    // The last completion publishes `finished_` and notifies under mu_, and
+    // done()/wait() report done only under mu_, so no caller can see the
+    // driver done (and destroy it) while this executor is still in here.
     std::lock_guard<std::mutex> lock(mu_);
+    finished_ = true;
     cv_.notify_all();
   }
 }
 
 bool WorkloadDriver::done() const {
-  return remaining_ops_.load(std::memory_order_acquire) == 0;
+  if (remaining_ops_.load(std::memory_order_acquire) != 0) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  return finished_;
 }
 
 void WorkloadDriver::wait() {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return done(); });
+  cv_.wait(lock, [this] { return finished_; });
 }
 
 LatencySummary summarize_latency(const History& h, bool reads) {

@@ -102,6 +102,8 @@ class WorkloadDriver {
   void start();
 
   /// True once every submitted operation completed (safe from any thread).
+  /// Once it returns true — or wait() returns — no executor touches the
+  /// driver again, so the caller may destroy it.
   bool done() const;
 
   /// Blocks until done (for ThreadRuntime; do not use with SimRuntime).
@@ -192,8 +194,9 @@ class WorkloadDriver {
   std::atomic<std::uint64_t> next_value_{1};
   mutable std::mutex sojourn_mu_;
   Histogram sojourn_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable cv_;
+  bool finished_{false};  ///< guarded by mu_: the last op_finished is past its notify.
 };
 
 /// Deprecated name for the default split-closed-loop configuration.

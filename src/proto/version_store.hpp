@@ -1,7 +1,8 @@
 // Shared multi-version storage with read-watermark garbage collection.
 //
-// Two pieces, shared by algorithms B/C, the occ reader's CoorServer and (in
-// spirit) eiger's version chains:
+// Two pieces, held by the Pseudocode-6 SnowServer (proto/snow_server.hpp)
+// that every coordinator-based protocol shares, and (in spirit) by eiger's
+// version chains:
 //
 //  * VersionStore — one per-object version chain: the `Vals ⊆ K × V_i` set of
 //    the paper's pseudocode (§5.2), extended with finalization metadata and a

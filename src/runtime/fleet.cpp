@@ -23,7 +23,7 @@ std::size_t FleetConfig::owner_of(NodeId node) const {
     return static_cast<std::size_t>(node) * sprocs / shards;
   }
   if (replicas == 2) {
-    // Backup nodes are registered AFTER the clients (build_algo_b/c), at ids
+    // Backup nodes are registered AFTER the clients (add_coor_nodes), at ids
     // [base, base + shards).  The backup of shard s lives on the server
     // process AFTER s's primary (cyclically) — validate() requires >= 2
     // server processes, so primary and backup never share a process and one
@@ -202,8 +202,8 @@ FleetConfig parse_fleet_text(const std::string& text) {
   fleet.processes = std::move(servers);
   fleet.processes.push_back(clients.front());
   // Protocol factories only see BuildOptions, so the replicas line mirrors
-  // itself there (build_algo_b/c read it back); fleet_text skips the mirror
-  // so the round-trip stays one `replicas` line.
+  // itself there (CoorOptions::parse reads it back); fleet_text skips the
+  // mirror so the round-trip stays one `replicas` line.
   if (fleet.replicas == 2) fleet.options.set("replicas", std::int64_t{2});
   fleet.validate();
   return fleet;
