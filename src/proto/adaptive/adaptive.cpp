@@ -24,9 +24,8 @@ class ReaderAdapt final : public CoorReader {
  public:
   ReaderAdapt(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard,
               bool replicated, bool cache_reads, bool broken_cache)
-      : rec_(rec), place_(place), k_(place.num_objects()), coor_shard_(coor_shard),
-        replicated_(replicated), cache_reads_(cache_reads), broken_cache_(broken_cache),
-        routes_(place.num_servers()), modes_(k_, 0) {}
+      : CoorReader(rec, place, coor_shard), replicated_(replicated), cache_reads_(cache_reads),
+        broken_cache_(broken_cache), modes_(place.num_objects(), 0) {}
 
   void read(std::vector<ObjectId> objs, ReadCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
@@ -122,10 +121,7 @@ class ReaderAdapt final : public CoorReader {
     pending_->prefetched.clear();
     pending_->prefetch_outstanding = 0;
     pending_->round2_sent = false;
-    GetTagArrReq req;
-    req.want.assign(k_, 0);
-    for (ObjectId obj : pending_->objs) req.want[obj] = 1;
-    send(routes_.node_of(coor_shard_), Message{pending_->txn, req});
+    send(coordinator(), Message{pending_->txn, tag_arr_req(pending_->objs)});
     // Prefetch (one batched frame per server shard): C-mode objects always —
     // their write rate says any cache entry is probably stale — and, when the
     // cache is on, objects with NO cache entry, since those are certain to
@@ -153,7 +149,7 @@ class ReaderAdapt final : public CoorReader {
     last_watermark_ = std::max(last_watermark_, ta.watermark);
     // Epoch fence: adopt the mode table only when it is at least as new as
     // the one we hold, so a held/reordered response can't roll modes back.
-    if (ta.mode_epoch >= mode_epoch_ && ta.modes.size() == k_) {
+    if (ta.mode_epoch >= mode_epoch_ && ta.modes.size() == modes_.size()) {
       modes_ = ta.modes;
       mode_epoch_ = ta.mode_epoch;
     }
@@ -233,7 +229,7 @@ class ReaderAdapt final : public CoorReader {
     if (tn.shard == coor_shard_) {
       // New coordinator lineage: its mode epochs restart from zero, so our
       // fence must too.
-      modes_.assign(k_, 0);
+      modes_.assign(modes_.size(), 0);
       mode_epoch_ = 0;
     }
     if (!pending_) return;
@@ -242,8 +238,7 @@ class ReaderAdapt final : public CoorReader {
 
   void maybe_complete() {
     if (!pending_->have_tag_arr || pending_->got.size() != pending_->objs.size()) return;
-    // Deregister from watermark accounting (fire-and-forget, sender-keyed).
-    send(routes_.node_of(coor_shard_), Message{kInvalidTxn, ReadDoneReq{pending_->txn}});
+    send_read_done(pending_->txn);
     ReadResult result;
     result.txn = pending_->txn;
     for (ObjectId obj : pending_->objs) {
@@ -260,14 +255,9 @@ class ReaderAdapt final : public CoorReader {
     cb(result);
   }
 
-  HistoryRecorder& rec_;
-  Placement place_;
-  std::size_t k_;
-  std::size_t coor_shard_;
   bool replicated_;
   bool cache_reads_;
   bool broken_cache_;
-  ShardRoutes routes_;
   std::vector<std::uint8_t> modes_;  ///< adopted per-object fetch modes.
   std::uint64_t mode_epoch_{0};
   Tag last_watermark_{0};

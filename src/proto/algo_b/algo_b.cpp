@@ -13,8 +13,7 @@ namespace {
 class ReaderB final : public CoorReader {
  public:
   ReaderB(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard, bool replicated)
-      : rec_(rec), place_(place), k_(place.num_objects()), coor_shard_(coor_shard),
-        replicated_(replicated), routes_(place.num_servers()) {}
+      : CoorReader(rec, place, coor_shard), replicated_(replicated) {}
 
   void read(std::vector<ObjectId> objs, ReadCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
@@ -24,7 +23,7 @@ class ReaderB final : public CoorReader {
     pending_->txn = txn;
     pending_->objs = objs;
     pending_->cb = std::move(cb);
-    send(routes_.node_of(coor_shard_), Message{txn, tag_arr_req()});
+    send(coordinator(), Message{txn, tag_arr_req(pending_->objs)});
   }
 
   void on_message(NodeId, const Message& m) override {
@@ -44,7 +43,7 @@ class ReaderB final : public CoorReader {
       pending_->watermark = ta->watermark;
       for (ObjectId obj : pending_->objs) {
         pending_->want[obj] = ta->latest[obj];
-        send(routes_.node_of(place_.shard_of(obj)),
+        send(server_of(obj),
              Message{m.txn, ReadValReq{obj, ta->latest[obj], ta->watermark}});
       }
       return;
@@ -82,13 +81,6 @@ class ReaderB final : public CoorReader {
     ReadCallback cb;
   };
 
-  GetTagArrReq tag_arr_req() const {
-    GetTagArrReq req;
-    req.want.assign(k_, 0);
-    for (ObjectId obj : pending_->objs) req.want[obj] = 1;
-    return req;
-  }
-
   void restart_round() {
     // A correct fleet converges in a handful of attempts (one per failover
     // or GC race).  Exhausting the budget means the List names a key some
@@ -100,7 +92,7 @@ class ReaderB final : public CoorReader {
     if (++pending_->attempts >= 100) return;
     pending_->want.clear();
     pending_->got.clear();
-    send(routes_.node_of(coor_shard_), Message{pending_->txn, tag_arr_req()});
+    send(coordinator(), Message{pending_->txn, tag_arr_req(pending_->objs)});
   }
 
   void on_takeover(const TakeoverNotice& tn) {
@@ -120,8 +112,7 @@ class ReaderB final : public CoorReader {
   }
 
   void complete() {
-    // Deregister from watermark accounting (fire-and-forget, sender-keyed).
-    send(routes_.node_of(coor_shard_), Message{kInvalidTxn, ReadDoneReq{pending_->txn}});
+    send_read_done(pending_->txn);
     ReadResult result;
     result.txn = pending_->txn;
     for (ObjectId obj : pending_->objs) result.values.emplace_back(obj, pending_->got.at(obj));
@@ -132,12 +123,7 @@ class ReaderB final : public CoorReader {
     cb(result);
   }
 
-  HistoryRecorder& rec_;
-  Placement place_;
-  std::size_t k_;
-  std::size_t coor_shard_;
   bool replicated_;
-  ShardRoutes routes_;
   std::optional<Pending> pending_;
 };
 

@@ -14,8 +14,7 @@ namespace {
 class ReaderC final : public CoorReader {
  public:
   ReaderC(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard, bool may_retry)
-      : rec_(rec), place_(place), k_(place.num_objects()), coor_shard_(coor_shard),
-        may_retry_(may_retry), routes_(place.num_servers()) {}
+      : CoorReader(rec, place, coor_shard), may_retry_(may_retry) {}
 
   void read(std::vector<ObjectId> objs, ReadCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
@@ -72,12 +71,9 @@ class ReaderC final : public CoorReader {
   void send_round() {
     pending_->tag_arr.reset();
     pending_->vals.clear();
-    GetTagArrReq req;
-    req.want.assign(k_, 0);
-    for (ObjectId obj : pending_->objs) req.want[obj] = 1;
-    send(routes_.node_of(coor_shard_), Message{pending_->txn, req});
+    send(coordinator(), Message{pending_->txn, tag_arr_req(pending_->objs)});
     for (ObjectId obj : pending_->objs) {
-      send(routes_.node_of(place_.shard_of(obj)), Message{pending_->txn, ReadValsReq{obj}});
+      send(server_of(obj), Message{pending_->txn, ReadValsReq{obj}});
     }
   }
 
@@ -145,9 +141,7 @@ class ReaderC final : public CoorReader {
       (void)obj;
       max_versions = std::max(max_versions, static_cast<int>(versions.size()));
     }
-    // Deregister from watermark accounting (fire-and-forget; keyed by sender
-    // node, so it carries no txn).
-    send(routes_.node_of(coor_shard_), Message{kInvalidTxn, ReadDoneReq{pending_->txn}});
+    send_read_done(pending_->txn);
     ReadResult result;
     result.txn = pending_->txn;
     result.values = values;
@@ -158,12 +152,7 @@ class ReaderC final : public CoorReader {
     cb(result);
   }
 
-  HistoryRecorder& rec_;
-  Placement place_;
-  std::size_t k_;
-  std::size_t coor_shard_;
   bool may_retry_;
-  ShardRoutes routes_;
   std::optional<Pending> pending_;
 };
 

@@ -55,10 +55,37 @@ struct CoorOptions {
   void parse(const BuildOptions& opts);
 };
 
-/// A READ client of a coordinator-based protocol.
+/// A READ client of a coordinator-based protocol: the state every such
+/// reader keeps and the requests they all build the same way.
 class CoorReader : public Node, public ReadClientApi {
  public:
+  CoorReader(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard)
+      : rec_(rec), place_(place), coor_shard_(coor_shard), routes_(place.num_servers()) {}
+
   NodeId node_id() const override { return id(); }
+
+ protected:
+  /// Current node of the coordinator shard / of the shard hosting `obj`
+  /// (TakeoverNotices re-route them through routes_).
+  NodeId coordinator() const { return routes_.node_of(coor_shard_); }
+  NodeId server_of(ObjectId obj) const { return routes_.node_of(place_.shard_of(obj)); }
+
+  /// get-tag-arr marking `objs` as the READ's objects.
+  GetTagArrReq tag_arr_req(const std::vector<ObjectId>& objs) const {
+    GetTagArrReq req;
+    req.want.assign(place_.num_objects(), 0);
+    for (ObjectId obj : objs) req.want[obj] = 1;
+    return req;
+  }
+
+  /// Deregisters READ `txn` from the coordinator's watermark accounting
+  /// (fire-and-forget, keyed by sender, so it carries no txn).
+  void send_read_done(TxnId txn) { send(coordinator(), Message{kInvalidTxn, ReadDoneReq{txn}}); }
+
+  HistoryRecorder& rec_;
+  Placement place_;
+  std::size_t coor_shard_;
+  ShardRoutes routes_;
 };
 
 /// Makes one READ client; `replicated` is true for replicas 2.

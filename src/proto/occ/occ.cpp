@@ -12,9 +12,8 @@ namespace {
 
 class ReaderO final : public CoorReader {
  public:
-  ReaderO(HistoryRecorder& rec, const Placement& place, NodeId coordinator, int max_optimistic)
-      : rec_(rec), place_(place), k_(place.num_objects()), coordinator_(coordinator),
-        max_optimistic_(max_optimistic) {}
+  ReaderO(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard, int max_optimistic)
+      : CoorReader(rec, place, coor_shard), max_optimistic_(max_optimistic) {}
 
   void read(std::vector<ObjectId> objs, ReadCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
@@ -69,13 +68,9 @@ class ReaderO final : public CoorReader {
     ++pending_->rounds;
     pending_->tag_arr.reset();
     pending_->got.clear();
-    GetTagArrReq req;
-    req.want.assign(k_, 0);
-    for (ObjectId obj : pending_->objs) req.want[obj] = 1;
-    send(coordinator_, Message{pending_->txn, req});
+    send(coordinator(), Message{pending_->txn, tag_arr_req(pending_->objs)});
     for (const auto& [obj, key] : pending_->guesses) {
-      send(place_.server_node(obj),
-           Message{pending_->txn, ReadValReq{obj, key, pending_->watermark}});
+      send(server_of(obj), Message{pending_->txn, ReadValReq{obj, key, pending_->watermark}});
     }
   }
 
@@ -123,8 +118,7 @@ class ReaderO final : public CoorReader {
       ++pending_->rounds;
       pending_->got.clear();
       for (const auto& [obj, key] : pending_->guesses) {
-        send(place_.server_node(obj),
-             Message{pending_->txn, ReadValReq{obj, key, pending_->watermark}});
+        send(server_of(obj), Message{pending_->txn, ReadValReq{obj, key, pending_->watermark}});
       }
       return;
     }
@@ -132,8 +126,7 @@ class ReaderO final : public CoorReader {
   }
 
   void complete(Tag tag) {
-    // Deregister from watermark accounting (fire-and-forget, sender-keyed).
-    send(coordinator_, Message{kInvalidTxn, ReadDoneReq{pending_->txn}});
+    send_read_done(pending_->txn);
     ReadResult result;
     result.txn = pending_->txn;
     for (ObjectId obj : pending_->objs) {
@@ -145,10 +138,6 @@ class ReaderO final : public CoorReader {
     cb(result);
   }
 
-  HistoryRecorder& rec_;
-  Placement place_;
-  std::size_t k_;
-  NodeId coordinator_;
   int max_optimistic_;
   std::optional<Pending> pending_;
 };
@@ -184,9 +173,8 @@ std::unique_ptr<ProtocolSystem> build_occ(Runtime& rt, HistoryRecorder& rec,
   coor.name = "occ-reads";
   return build_coor_system(rt, rec, cfg, coor, TagArrShape::kLatest,
                            [&](const Placement& place, bool) {
-                             return std::make_unique<ReaderO>(
-                                 rec, place, static_cast<NodeId>(opts.coordinator),
-                                 opts.max_optimistic_rounds);
+                             return std::make_unique<ReaderO>(rec, place, opts.coordinator,
+                                                              opts.max_optimistic_rounds);
                            });
 }
 
