@@ -10,6 +10,9 @@
 namespace snowkit {
 namespace {
 
+/// Algorithm B's READ client: get-tag-arr from the coordinator, then
+/// read-val of exactly the named key from each object's server.  With
+/// replicas 2 it tolerates stale responses and restarts after failovers.
 class ReaderB final : public CoorReader {
  public:
   ReaderB(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard, bool replicated)
@@ -43,8 +46,7 @@ class ReaderB final : public CoorReader {
       pending_->watermark = ta->watermark;
       for (ObjectId obj : pending_->objs) {
         pending_->want[obj] = ta->latest[obj];
-        send(server_of(obj),
-             Message{m.txn, ReadValReq{obj, ta->latest[obj], ta->watermark}});
+        send(server_of(obj), Message{m.txn, ReadValReq{obj, ta->latest[obj], ta->watermark}});
       }
       return;
     }

@@ -11,6 +11,8 @@
 namespace snowkit {
 namespace {
 
+/// Algorithm C's READ client: get-tag-arr and read-vals in one parallel
+/// round, then the feasibility descent over the returned versions.
 class ReaderC final : public CoorReader {
  public:
   ReaderC(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard, bool may_retry)
