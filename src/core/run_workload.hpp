@@ -196,7 +196,7 @@ class WorkloadDriver {
   Histogram sojourn_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  bool finished_{false};  ///< guarded by mu_: the last op_finished is past its notify.
+  bool finished_{false};  ///< guarded by mu_; set by the last op_finished as it notifies.
 };
 
 /// Deprecated name for the default split-closed-loop configuration.

@@ -186,11 +186,11 @@ TEST(AlgoC, CoordinatorAlsoServesItsObject) {
 // at or above that WRITE's when the WRITE completed before the READ began.
 // Every cut between the first feasible candidate c and the next candidate
 // above it resolves identically, so the reader records the highest of them;
-// recording c itself inverted real-time order (Lemma 20 P2).  The workload
+// recording c itself can invert real-time order (Lemma 20 P2).  The workload
 // is the open-loop engine at 2000 arrivals/s of virtual time: k = 64 on 4
 // range-placed servers, Zipf 0.99 with permuted ranks, 10 % READs of
-// geometric span 1-4, no replication — seed 4 hit the inversion within its
-// first ten transactions.
+// geometric span 1-4, no replication; with seed 4, recording c inverts the
+// order within the first ten transactions.
 TEST(AlgoC, DisjointEarlierWriteNeverOutranksALaterRead) {
   const std::uint64_t seed = 4;
   SimRuntime sim(make_uniform_delay(50'000, 2'000'000, seed));

@@ -1,10 +1,10 @@
 // WorkloadDriver lifetime on ThreadRuntime: once done() reports true or
 // wait() returns, no executor may still be inside the driver, so the caller
-// can destroy it at once.  The last completion used to publish "done" before
-// locking the driver's mutex to notify, so a caller returning from wait()
-// could free the driver under the executor's lock/notify.  Each round below
+// can destroy it at once.  A last completion that published "done" before
+// locking the driver's mutex to notify would let a caller returning from
+// wait() free the driver under the executor's lock/notify.  Each round below
 // destroys its driver immediately; ThreadSanitizer (CI's TSan job) reports
-// any executor access after that as a use-after-free race.
+// any executor access after that as a data race.
 #include <gtest/gtest.h>
 
 #include <memory>
