@@ -26,6 +26,33 @@ class CodecError : public std::runtime_error {
   explicit CodecError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Largest mask length the wire accepts (docs/WIRE.md): one bit per object,
+/// so this also bounds the object count of a system whose messages carry
+/// masks.  Caps what a decoded mask may allocate.
+inline constexpr std::uint64_t kMaxMaskBits = std::uint64_t{1} << 20;
+
+/// Calls fn(i) for each set element of a dense 0/1 mask, ascending.  Zero
+/// bytes are skipped eight at a time, so a mask over k objects costs about
+/// k/8 word tests plus its set bits.  Bytes other than 0/1 would read as set
+/// — fail fast at the violating caller instead of corrupting silently.
+template <typename Fn>
+void for_each_mask_bit(const std::vector<std::uint8_t>& m, Fn&& fn) {
+  const std::size_t n = m.size();
+  const auto visit = [&](std::size_t i) {
+    if (m[i] == 0) return;
+    SNOW_CHECK_MSG(m[i] == 1, "mask byte " << int(m[i]) << " is not 0/1");
+    fn(i);
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, m.data() + i, sizeof word);
+    if (word == 0) continue;
+    for (std::size_t j = i; j < i + 8; ++j) visit(j);
+  }
+  for (; i < n; ++i) visit(i);
+}
+
 class BufWriter {
  public:
   /// Writes into an internally owned buffer (retrieve with take()).
@@ -79,21 +106,23 @@ class BufWriter {
     for (const auto& e : v) write_elem(*this, e);
   }
 
-  /// A 0/1 mask bit-packed to ceil(n/8) bytes after a varint length.  Bytes
-  /// other than 0/1 would decode as 1 — fail fast at the violating caller
-  /// instead of corrupting silently.
+  /// A 0/1 mask as its length, its set-bit count and the delta-coded
+  /// ascending set-bit indices (docs/WIRE.md `mask(n)`), so a mask costs
+  /// bytes in proportion to its set bits, not to n.  An empty mask is its
+  /// length alone: one byte, as every non-push ReplRecord carries one.
   void mask(const std::vector<std::uint8_t>& m) {
+    SNOW_CHECK_MSG(m.size() <= kMaxMaskBits,
+                   "mask of " << m.size() << " bits exceeds kMaxMaskBits");
     uv(m.size());
-    std::uint8_t acc = 0;
-    for (std::size_t i = 0; i < m.size(); ++i) {
-      SNOW_CHECK_MSG(m[i] <= 1, "mask byte " << int(m[i]) << " is not 0/1");
-      if (m[i] != 0) acc |= static_cast<std::uint8_t>(1u << (i % 8));
-      if (i % 8 == 7) {
-        buf_->push_back(acc);
-        acc = 0;
-      }
-    }
-    if (m.size() % 8 != 0) buf_->push_back(acc);
+    if (m.empty()) return;
+    std::size_t count = 0;
+    for_each_mask_bit(m, [&](std::size_t) { ++count; });
+    uv(count);
+    std::size_t prev = 0;
+    for_each_mask_bit(m, [&](std::size_t i) {
+      uv(i - prev);
+      prev = i;
+    });
   }
 
   std::vector<std::uint8_t> take() { return std::move(*buf_); }
@@ -145,7 +174,15 @@ class SizeWriter {
 
   void mask(const std::vector<std::uint8_t>& m) {
     uv(m.size());
-    n_ += (m.size() + 7) / 8;
+    if (m.empty()) return;
+    std::size_t count = 0;
+    std::size_t prev = 0;
+    for_each_mask_bit(m, [&](std::size_t i) {
+      ++count;
+      uv(i - prev);
+      prev = i;
+    });
+    uv(count);
   }
 
   std::size_t size() const { return n_; }
@@ -211,14 +248,29 @@ class BufReader {
     return v;
   }
 
+  /// Decodes mask(n).  Untrusted input: n is capped, and the indices are
+  /// validated in a first pass so nothing n-sized is allocated for a
+  /// malformed mask.
   std::vector<std::uint8_t> mask() {
     const std::uint64_t n = uv();
-    if (n > 8 * buf_.size()) throw CodecError("mask length exceeds buffer");
+    if (n > kMaxMaskBits) throw CodecError("mask length exceeds kMaxMaskBits");
+    if (n == 0) return {};
+    const std::uint64_t count = uv();
+    if (count > n) throw CodecError("mask has more set bits than its length");
+    const std::size_t first = pos_;
+    std::uint64_t idx = 0;
+    for (std::uint64_t j = 0; j < count; ++j) {
+      const std::uint64_t d = uv();
+      if (j != 0 && d == 0) throw CodecError("mask indices repeat");
+      if (d >= n - idx) throw CodecError("mask index out of range or not ascending");
+      idx += d;
+    }
     std::vector<std::uint8_t> m(n, 0);
-    std::uint8_t acc = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (i % 8 == 0) acc = u8();
-      m[i] = (acc >> (i % 8)) & 1;
+    pos_ = first;
+    idx = 0;
+    for (std::uint64_t j = 0; j < count; ++j) {
+      idx += uv();
+      m[idx] = 1;
     }
     return m;
   }

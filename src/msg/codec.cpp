@@ -13,7 +13,10 @@ namespace {
 // Encoding conventions (the compact wire format):
 //  * integers ride as LEB128 varints (`uv`), values as zigzag varints (`zz`),
 //    so the common small-number case costs one byte instead of 4-8;
-//  * 0/1 interest masks are bit-packed to ceil(k/8) bytes;
+//  * 0/1 interest masks ride sparse: length, set-bit count, then the
+//    delta-coded ascending indices of the set bits (BufWriter::mask);
+//  * tag arrays carry one entry per object set in the get-tag-arr `want`
+//    mask, in ascending object order — a READ's span, not k;
 //  * version lists are delta-coded: Vals is key-ordered, so consecutive
 //    WriteKey seqs are non-decreasing and each entry stores only the delta;
 //  * List histories are position-ascending, so positions delta-code the
@@ -490,7 +493,8 @@ Payload decode_alternative(std::size_t index, BufReader& r) {
 
 static_assert(std::variant_size_v<Payload> <= 256, "payload index must fit one byte");
 
-// snowkit-wire-v1 FREEZE (docs/WIRE.md): the payload tag is the variant
+// Payload-tag FREEZE (docs/WIRE.md; unchanged from snowkit-wire-v1 to v2,
+// which changed only the mask and tag-array encodings): the tag is the variant
 // index, and both the TCP transport and the checked-in fuzz trace files
 // depend on these numbers.  APPEND new payloads to the variant; reordering
 // or inserting breaks every stored trace and any mixed-version fleet, so it
@@ -515,7 +519,7 @@ static_assert(payload_tag<WriteValReq> == 0 && payload_tag<WriteValAck> == 1 &&
               payload_tag<ReplAppendReq> == 30 && payload_tag<ReplAppendAck> == 31 &&
               payload_tag<ReplJoinReq> == 32 && payload_tag<ReplJoinResp> == 33 &&
               payload_tag<TakeoverNotice> == 34 && payload_tag<NodeDownNotice> == 35,
-              "snowkit-wire-v1 payload tags are frozen (docs/WIRE.md): append new payloads, "
+              "snowkit-wire payload tags are frozen (docs/WIRE.md): append new payloads, "
               "never reorder; a reorder requires a wire-version bump");
 
 // Adaptive-layer payloads, appended in PR 10.  A separate assert so the
@@ -524,7 +528,7 @@ static_assert(payload_tag<WriteValReq> == 0 && payload_tag<WriteValAck> == 1 &&
 static_assert(payload_tag<AdaptTagArrResp> == 36 && payload_tag<ReadValBatchReq> == 37 &&
               payload_tag<ReadValBatchResp> == 38 && payload_tag<ReadValsBatchReq> == 39 &&
               payload_tag<ReadValsBatchResp> == 40,
-              "snowkit-wire-v1 adaptive payload tags are frozen (docs/WIRE.md): append new "
+              "snowkit-wire adaptive payload tags are frozen (docs/WIRE.md): append new "
               "payloads, never reorder; a reorder requires a wire-version bump");
 
 }  // namespace

@@ -86,19 +86,21 @@ struct UpdateCoorAck {
 
 /// get-tag-arr: reader -> coordinator s*.
 struct GetTagArrReq {
-  std::vector<std::uint8_t> want;  ///< interest mask over objects (I).
+  std::vector<std::uint8_t> want;  ///< interest mask over objects: the READ's set I.
   friend bool operator==(const GetTagArrReq&, const GetTagArrReq&) = default;
 };
 
-/// (t_r, (kappa_1..kappa_k)): coordinator -> reader.  For Algorithm C the
-/// response additionally carries, per requested object, the key history
-/// (position, key) up to t_r so the reader can run the feasibility descent
-/// (see DESIGN.md §5 and proto/algo_c).
+/// (t_r, (kappa_i) for i in I): coordinator -> reader.  Entries follow the
+/// request's `want` mask: one per object set there, in ascending object
+/// order, so the array costs O(|I|) whatever k is (CoorReader::by_object
+/// maps them back).  For Algorithm C the response additionally carries, per
+/// requested object, the key history (position, key) so the reader can run
+/// the feasibility descent (see DESIGN.md §5 and proto/algo_c).
 struct GetTagArrResp {
   Tag tag{0};
   Tag watermark{0};  ///< coordinator read watermark; readers piggyback it on read-val.
-  std::vector<WriteKey> latest;              ///< kappa_i per object (index-aligned).
-  std::vector<std::vector<ListedKey>> history;  ///< optional; per requested object.
+  std::vector<WriteKey> latest;  ///< kappa_i per requested object, ascending object order.
+  std::vector<std::vector<ListedKey>> history;  ///< algo-c only; same order as `latest`.
   friend bool operator==(const GetTagArrResp&, const GetTagArrResp&) = default;
 };
 
@@ -410,7 +412,8 @@ struct NodeDownNotice {
 // a mode switch can ride an existing leg instead of needing a barrier.
 
 /// Coordinator -> reader, the adaptive tag-array response (replaces
-/// GetTagArrResp on the adaptive read path).  `modes` is the per-object
+/// GetTagArrResp on the adaptive read path).  `latest` follows the request's
+/// `want` like GetTagArrResp's; `modes` is the full per-object
 /// fetch-mode mask (bit i = 1 iff object i is in C-mode, i.e. readers should
 /// prefetch its version list in round 1).  `mode_epoch` fences switches:
 /// readers adopt `modes` only when `mode_epoch` is >= their cached epoch, so
@@ -419,8 +422,8 @@ struct NodeDownNotice {
 struct AdaptTagArrResp {
   Tag tag{0};
   Tag watermark{0};
-  std::vector<WriteKey> latest;    ///< kappa_i per object (index-aligned).
-  std::vector<std::uint8_t> modes; ///< per-object fetch mode (1 = C/prefetch).
+  std::vector<WriteKey> latest;    ///< kappa_i per requested object, ascending.
+  std::vector<std::uint8_t> modes; ///< per-object fetch mode (1 = C/prefetch), all k.
   std::uint64_t mode_epoch{0};     ///< bumps on every coordinator switch.
   friend bool operator==(const AdaptTagArrResp&, const AdaptTagArrResp&) = default;
 };

@@ -153,9 +153,9 @@ class ReaderAdapt final : public CoorReader {
       modes_ = ta.modes;
       mode_epoch_ = ta.mode_epoch;
     }
+    pending_->want = by_object(pending_->objs, ta.latest);
     for (ObjectId obj : pending_->objs) {
-      const WriteKey& key = ta.latest[obj];
-      pending_->want[obj] = key;
+      const WriteKey& key = pending_->want.at(obj);
       if (cache_reads_ || broken_cache_) {
         const auto it = cache_.find(obj);
         // The freshness proof: the cached key must BE the per-object newest

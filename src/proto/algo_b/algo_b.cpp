@@ -44,9 +44,10 @@ class ReaderB final : public CoorReader {
       }
       pending_->tag = ta->tag;
       pending_->watermark = ta->watermark;
+      pending_->want = by_object(pending_->objs, ta->latest);
       for (ObjectId obj : pending_->objs) {
-        pending_->want[obj] = ta->latest[obj];
-        send(server_of(obj), Message{m.txn, ReadValReq{obj, ta->latest[obj], ta->watermark}});
+        const WriteKey& key = pending_->want.at(obj);
+        send(server_of(obj), Message{m.txn, ReadValReq{obj, key, ta->watermark}});
       }
       return;
     }

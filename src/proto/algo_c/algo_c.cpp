@@ -47,7 +47,8 @@ class ReaderC final : public CoorReader {
       // current ones (same txn id) and safe to consume: any Vals snapshot a
       // server sent for this READ still supports the t* feasibility argument.
       if (!pending_ || pending_->txn != m.txn) return;
-      pending_->tag_arr = *ta;
+      pending_->tag = ta->tag;
+      pending_->history = by_object(pending_->objs, ta->history);
       maybe_complete();
       return;
     }
@@ -65,13 +66,15 @@ class ReaderC final : public CoorReader {
     TxnId txn{kInvalidTxn};
     std::vector<ObjectId> objs;
     ReadCallback cb;
-    std::optional<GetTagArrResp> tag_arr;
+    std::optional<Tag> tag;  ///< t_r, once the tag array arrived.
+    std::map<ObjectId, std::vector<ListedKey>> history;  ///< per object, from the tag array.
     std::map<ObjectId, std::vector<Version>> vals;
     int attempts{0};
   };
 
   void send_round() {
-    pending_->tag_arr.reset();
+    pending_->tag.reset();
+    pending_->history.clear();
     pending_->vals.clear();
     send(coordinator(), Message{pending_->txn, tag_arr_req(pending_->objs)});
     for (ObjectId obj : pending_->objs) {
@@ -80,15 +83,15 @@ class ReaderC final : public CoorReader {
   }
 
   void maybe_complete() {
-    if (!pending_->tag_arr || pending_->vals.size() != pending_->objs.size()) return;
+    if (!pending_->tag || pending_->vals.size() != pending_->objs.size()) return;
 
-    const GetTagArrResp& ta = *pending_->tag_arr;
+    const Tag t_r = *pending_->tag;
     // Feasibility descent over List positions t_r >= t >= 0 (header comment).
     // Candidate cuts: t_r and every listed position (others change nothing).
-    std::vector<Tag> cuts{ta.tag};
+    std::vector<Tag> cuts{t_r};
     for (ObjectId obj : pending_->objs) {
-      for (const ListedKey& lk : ta.history[obj]) {
-        if (lk.position <= ta.tag) cuts.push_back(lk.position);
+      for (const ListedKey& lk : pending_->history.at(obj)) {
+        if (lk.position <= t_r) cuts.push_back(lk.position);
       }
     }
     std::sort(cuts.begin(), cuts.end(), std::greater<>());
@@ -117,14 +120,13 @@ class ReaderC final : public CoorReader {
   }
 
   bool try_cut(Tag t, std::vector<std::pair<ObjectId, Value>>& out) const {
-    const GetTagArrResp& ta = *pending_->tag_arr;
     for (ObjectId obj : pending_->objs) {
       // Newest position <= t writing this object.  The shipped history is
       // GC'd below its anchor, so a cut older than every shipped entry is
       // unresolvable — infeasible, NOT "the initial version": treating it as
       // kappa_0 could resurrect a pruned prefix as a stale read.
       const WriteKey* key = nullptr;
-      for (const ListedKey& lk : ta.history[obj]) {
+      for (const ListedKey& lk : pending_->history.at(obj)) {
         if (lk.position <= t) key = &lk.key;  // history is position-ascending
       }
       if (key == nullptr) return false;

@@ -14,8 +14,10 @@
 // client and the shape of its coordinator's tag array.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -76,6 +78,24 @@ class CoorReader : public Node, public ReadClientApi {
     req.want.assign(place_.num_objects(), 0);
     for (ObjectId obj : objs) req.want[obj] = 1;
     return req;
+  }
+
+  /// Pairs each of the READ's objects `objs` with its tag-array entry.  The
+  /// coordinator sends entries (latest, history) only for the objects set in
+  /// the get-tag-arr `want`, in ascending object order, so entry i belongs
+  /// to the i-th smallest object.  `objs` must be distinct.
+  template <typename T>
+  static std::map<ObjectId, T> by_object(const std::vector<ObjectId>& objs,
+                                         const std::vector<T>& entries) {
+    SNOW_CHECK_MSG(entries.size() == objs.size(), "tag array has " << entries.size()
+                       << " entries for a READ of " << objs.size() << " objects");
+    std::vector<ObjectId> sorted = objs;
+    std::sort(sorted.begin(), sorted.end());
+    std::map<ObjectId, T> out;
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      out.emplace_hint(out.end(), sorted[i], entries[i]);
+    }
+    return out;
   }
 
   /// Deregisters READ `txn` from the coordinator's watermark accounting

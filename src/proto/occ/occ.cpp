@@ -96,12 +96,8 @@ class ReaderO final : public CoorReader {
     if (!pending_->tag_arr) return;
     const GetTagArrResp& ta = *pending_->tag_arr;
     pending_->watermark = std::max(pending_->watermark, ta.watermark);
-    bool validated = !missed;
-    for (ObjectId obj : pending_->objs) {
-      if (!validated) break;
-      if (!(ta.latest[obj] == pending_->guesses.at(obj))) validated = false;
-    }
-    if (validated) {
+    const auto latest = by_object(pending_->objs, ta.latest);
+    if (!missed && latest == pending_->guesses) {
       // The values just fetched are still the newest per object as of the
       // coordinator's List at tag t_r: a consistent cut.
       complete(ta.tag);
@@ -109,7 +105,7 @@ class ReaderO final : public CoorReader {
     }
 
     // Validation failed: adopt the newer keys and retry.
-    for (ObjectId obj : pending_->objs) pending_->guesses[obj] = ta.latest[obj];
+    pending_->guesses = latest;
     if (max_optimistic_ > 0 && pending_->rounds >= max_optimistic_) {
       // Bounded fallback: one pessimistic round reading exactly the cut the
       // last tag array named (no re-validation needed — Algorithm B).

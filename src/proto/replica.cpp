@@ -112,9 +112,14 @@ std::vector<std::uint8_t> wal_frame_batch(const ReplAppendReq& batch) {
 WalReplayResult wal_replay(const std::vector<std::uint8_t>& bytes) {
   WalReplayResult out;
   if (bytes.empty()) return out;
+  static_assert(sizeof(kWalMagicV1) == sizeof(kWalMagic));
+  if (bytes.size() >= kWalMagicLen && std::memcmp(bytes.data(), kWalMagicV1, kWalMagicLen) == 0) {
+    throw std::invalid_argument(
+        "WAL is snowkit-wal-v1 (wire-v1 dense masks); this build reads only snowkit-wal-v2");
+  }
   if (bytes.size() < kWalMagicLen ||
       std::memcmp(bytes.data(), kWalMagic, kWalMagicLen) != 0) {
-    throw std::invalid_argument("WAL head is not the snowkit-wal-v1 magic");
+    throw std::invalid_argument("WAL head is not the snowkit-wal-v2 magic");
   }
   out.fresh = false;
   std::size_t off = kWalMagicLen;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/buffer.hpp"
 
 namespace snowkit {
 
@@ -27,9 +28,8 @@ class SnowServer::ModeTracker {
 
   void observe_write(Runtime& rt, const std::vector<std::uint8_t>& mask) {
     const TimeNs now = rt.now_ns();
-    const std::size_t n = std::min(k_, mask.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (mask[i] == 0) continue;
+    for_each_mask_bit(mask, [&](std::size_t i) {
+      if (i >= k_) return;
       double& credit = credit_[i];
       if (now > last_[i]) {
         credit *= std::exp(-static_cast<double>(now - last_[i]) /
@@ -45,7 +45,7 @@ class SnowServer::ModeTracker {
         ++switches_;
         rt.note_switch(static_cast<ObjectId>(i), want);
       }
-    }
+    });
   }
 
   const std::vector<std::uint8_t>& modes() const { return modes_; }
@@ -232,10 +232,23 @@ void SnowServer::update_coor(NodeId from, TxnId txn, const UpdateCoorReq& uc) {
 void SnowServer::send_tag_arr(NodeId from, TxnId txn, const GetTagArrReq& req) {
   // t_r is the newest List position overall, so a READ never orders before
   // a WRITE that already completed (Lemma 20 P2); the per-object version
-  // choice uses each object's newest entry.
+  // choice uses each object's newest entry.  Entries cover only the READ's
+  // objects (the set bits of `want`, ascending), so the array costs O(span)
+  // however many objects the system has.  Bits beyond k name no object and
+  // are skipped.
   const std::size_t k = cfg_.num_objects;
-  std::vector<WriteKey> latest(k);
-  for (std::size_t i = 0; i < k; ++i) latest[i] = list_->latest(static_cast<ObjectId>(i));
+  const bool with_history = cfg_.shape == TagArrShape::kWithHistory;
+  std::vector<WriteKey> latest;
+  std::vector<std::vector<ListedKey>> history;
+  for_each_mask_bit(req.want, [&](std::size_t i) {
+    if (i >= k) return;
+    const auto obj = static_cast<ObjectId>(i);
+    latest.push_back(list_->latest(obj));
+    // The live history of each wanted object: its anchor entry plus
+    // everything above the watermark — all a READ registered at or after
+    // this instant can legally resolve against.
+    if (with_history) history.push_back(list_->history_vec(obj));
+  });
 
   if (cfg_.shape == TagArrShape::kModes) {
     AdaptTagArrResp resp;
@@ -251,15 +264,7 @@ void SnowServer::send_tag_arr(NodeId from, TxnId txn, const GetTagArrReq& req) {
   resp.tag = list_->tag();
   resp.watermark = list_->watermark();
   resp.latest = std::move(latest);
-  if (cfg_.shape == TagArrShape::kWithHistory) {
-    // The live history of each wanted object: its anchor entry plus
-    // everything above the watermark — all a READ registered at or after
-    // this instant can legally resolve against.
-    resp.history.resize(k);
-    for (std::size_t i = 0; i < k && i < req.want.size(); ++i) {
-      if (req.want[i] != 0) resp.history[i] = list_->history_vec(static_cast<ObjectId>(i));
-    }
-  }
+  resp.history = std::move(history);
   send(from, Message{txn, std::move(resp)});
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/buffer.hpp"
 #include "metrics/gc_stats.hpp"
 
 namespace snowkit {
@@ -90,11 +91,11 @@ CoorList::CoorList(std::size_t num_objects) : k_(num_objects) {
 Tag CoorList::push(const WriteKey& key, const std::vector<std::uint8_t>& mask) {
   SNOW_CHECK(mask.size() == k_);
   const Tag pos = count_++;
-  for (std::size_t i = 0; i < k_; ++i) {
-    if (mask[i] == 0) continue;
+  for_each_mask_bit(mask, [&](std::size_t i) {
     history_[i].push_back(ListedKey{pos, key});
     latest_[i] = key;
-  }
+    pushes_.emplace_back(pos, static_cast<ObjectId>(i));
+  });
   return pos;
 }
 
@@ -123,7 +124,11 @@ void CoorList::advance_() {
   if (w <= watermark_) return;
   watermark_ = w;
   GcCounters::global().on_watermark(w);
-  for (auto& h : history_) {
+  // Only an object listed in (old watermark, w] can have an entry to drop:
+  // every other history already starts at its anchor for w.
+  while (!pushes_.empty() && pushes_.front().first <= w) {
+    auto& h = history_[pushes_.front().second];
+    pushes_.pop_front();
     // Keep the newest entry at or below w (the anchor) plus everything above.
     while (h.size() >= 2 && h[1].position <= w) h.pop_front();
   }

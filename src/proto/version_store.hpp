@@ -48,6 +48,7 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -173,6 +174,10 @@ class CoorList {
   Tag watermark_{0};
   std::vector<std::deque<ListedKey>> history_;
   std::vector<WriteKey> latest_;
+  /// (position, object) of every listing above the watermark, in position
+  /// order: the objects a watermark advance may trim, so advance_ costs the
+  /// entries it drops rather than k.
+  std::deque<std::pair<Tag, ObjectId>> pushes_;
 
   struct ReaderSlot {
     TxnId txn{kInvalidTxn};

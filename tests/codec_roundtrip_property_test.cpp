@@ -22,9 +22,14 @@ bool rbool(Xoshiro256& rng) { return (rng.next() & 1) != 0; }
 WriteKey rkey(Xoshiro256& rng) { return WriteKey{ru64(rng), ru32(rng)}; }
 
 // Interest masks are 0/1 by contract (the codec bit-packs them).
+/// Lengths from empty to past one 4096-object system, densities from no
+/// bits (a one-in-n chance per element) through half to all set, so the
+/// sparse mask's delta coding sees runs, long gaps and both ends.
 std::vector<std::uint8_t> rmask(Xoshiro256& rng) {
-  std::vector<std::uint8_t> mask(rng.below(20));
-  for (auto& b : mask) b = static_cast<std::uint8_t>(rng.below(2));
+  static constexpr std::size_t kLengths[] = {0, 1, 7, 8, 9, 64, 200, 4096, 5000};
+  std::vector<std::uint8_t> mask(rng.chance(0.5) ? rng.below(20) : kLengths[rng.below(9)]);
+  const std::uint64_t one_in = rng.chance(0.2) ? 1 : 1 + rng.below(mask.size() + 1);
+  for (auto& b : mask) b = rng.below(one_in) == 0 ? 1 : 0;
   return mask;
 }
 

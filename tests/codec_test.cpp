@@ -2,6 +2,10 @@
 // survive encode/decode bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
+#include "common/buffer.hpp"
 #include "msg/codec.hpp"
 
 namespace snowkit {
@@ -132,6 +136,79 @@ TEST(Codec, TryDecodeRejectsMalformedBytes) {
   EXPECT_FALSE(try_decode_message(padded, out, err));
   // And the full buffer still decodes.
   EXPECT_TRUE(try_decode_message(full, out, err)) << err;
+}
+
+// --- sparse masks (docs/WIRE.md `mask(n)`) ---------------------------------
+
+std::vector<std::uint8_t> mask_with(std::size_t n, std::initializer_list<std::size_t> bits) {
+  std::vector<std::uint8_t> m(n, 0);
+  for (std::size_t b : bits) m.at(b) = 1;
+  return m;
+}
+
+TEST(Codec, SparseMaskRoundTripsAtEveryLengthAndDensity) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{64}, std::size_t{4096}}) {
+    std::vector<std::vector<std::uint8_t>> masks{std::vector<std::uint8_t>(n, 0),
+                                                 std::vector<std::uint8_t>(n, 1)};
+    if (n > 0) masks.push_back(mask_with(n, {n - 1}));
+    if (n >= 64) masks.push_back(mask_with(n, {0, 7, 8, n / 2, n - 1}));  // a span's worth
+    for (const auto& mask : masks) {
+      for (const Message& m : {Message{3, GetTagArrReq{mask}},
+                               Message{4, UpdateCoorReq{WriteKey{2, 1}, mask}},
+                               Message{5, InfoReaderReq{WriteKey{9, 0}, mask}}}) {
+        const auto bytes = encode_message(m);
+        EXPECT_EQ(encoded_size(m), bytes.size()) << "n=" << n;
+        EXPECT_EQ(decode_message(bytes), m) << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(Codec, SparseMaskCostsItsSetBitsNotItsLength) {
+  // txn + tag + uv(n) + uv(count) + one delta per set bit.
+  EXPECT_EQ(encode_message(Message{1, GetTagArrReq{{}}}).size(), 3u);  // empty: uv(0) alone
+  EXPECT_EQ(encode_message(Message{1, GetTagArrReq{mask_with(64, {3, 9})}}).size(), 6u);
+  EXPECT_EQ(encode_message(Message{1, GetTagArrReq{mask_with(4096, {3, 9})}}).size(), 7u);
+}
+
+/// A get-tag-arr message whose mask field is exactly `fields` (as varints).
+std::vector<std::uint8_t> get_tag_arr_bytes(std::initializer_list<std::uint64_t> fields) {
+  BufWriter w;
+  w.uv(7);  // txn
+  w.u8(static_cast<std::uint8_t>(Payload{GetTagArrReq{}}.index()));
+  for (std::uint64_t f : fields) w.uv(f);
+  return w.take();
+}
+
+TEST(Codec, TryDecodeRejectsMalformedMasks) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::vector<std::pair<const char*, std::vector<std::uint8_t>>> bad{
+      {"n above the cap", get_tag_arr_bytes({kMaxMaskBits + 1, 0})},
+      {"n far above the cap", get_tag_arr_bytes({kMax, 0})},
+      {"count > n", get_tag_arr_bytes({4, 5, 0, 1, 1, 1, 1})},
+      {"repeated index", get_tag_arr_bytes({8, 2, 3, 0})},
+      {"non-ascending index (delta wraps)", get_tag_arr_bytes({8, 2, 5, kMax})},
+      {"first index = n", get_tag_arr_bytes({8, 1, 8})},
+      {"later index >= n", get_tag_arr_bytes({8, 2, 5, 3})},
+      {"count beyond the buffer", get_tag_arr_bytes({kMaxMaskBits, kMaxMaskBits})},
+      {"truncated indices", get_tag_arr_bytes({8, 3, 1, 1})},
+      {"missing count", get_tag_arr_bytes({8})},
+  };
+  for (const auto& [what, bytes] : bad) {
+    Message out;
+    std::string err;
+    EXPECT_FALSE(try_decode_message(bytes, out, err)) << what;
+    EXPECT_FALSE(err.empty()) << what;
+  }
+  // The boundaries themselves are valid.
+  Message out;
+  std::string err;
+  ASSERT_TRUE(try_decode_message(get_tag_arr_bytes({8, 2, 0, 7}), out, err)) << err;
+  EXPECT_EQ(std::get<GetTagArrReq>(out.payload).want, mask_with(8, {0, 7}));
+  ASSERT_TRUE(try_decode_message(get_tag_arr_bytes({kMaxMaskBits, 1, kMaxMaskBits - 1}), out,
+                                 err))
+      << err;
+  EXPECT_EQ(std::get<GetTagArrReq>(out.payload).want.size(), kMaxMaskBits);
 }
 
 }  // namespace

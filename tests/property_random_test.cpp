@@ -147,6 +147,12 @@ struct CoorCase {
   std::uint64_t seed;
 };
 
+// Names the case by value: gtest's default dump of the struct would put the
+// std::string's heap-pointer bytes into the ctest name, changing it per build.
+void PrintTo(const CoorCase& c, std::ostream* os) {
+  *os << c.kind << " coor" << c.coordinator << " s" << c.seed;
+}
+
 class CoordinatorSweep : public testing::TestWithParam<CoorCase> {};
 
 TEST_P(CoordinatorSweep, AnyCoordinatorPreservesS) {

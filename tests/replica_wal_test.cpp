@@ -10,6 +10,7 @@
 
 #include "msg/codec.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -124,6 +125,19 @@ TEST(ReplicaWal, NonMagicHeadThrows) {
   for (std::size_t cut = 1; cut < kWalMagicLen; ++cut) {
     const std::vector<std::uint8_t> head(full.begin(), full.begin() + cut);
     EXPECT_THROW(wal_replay(head), std::invalid_argument) << "cut at " << cut;
+  }
+}
+
+TEST(ReplicaWal, V1MagicIsRefusedByName) {
+  // A wire-v1 WAL holds dense-mask batches: replaying them as v2 would read
+  // as a torn tail after the magic and silently drop the lineage.
+  auto bytes = wal_bytes(sample_batches());
+  std::copy(kWalMagicV1, kWalMagicV1 + kWalMagicLen, bytes.begin());
+  try {
+    wal_replay(bytes);
+    FAIL() << "a snowkit-wal-v1 file replayed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("snowkit-wal-v1"), std::string::npos) << e.what();
   }
 }
 

@@ -112,23 +112,23 @@ TEST_P(ServerGolden, TraceAndWireTotalsArePinned) {
 
 std::vector<GoldenCase> golden_cases() {
   return {
-      {"algo_b", "algo-b", {}, false, 4942753835419980455ull, 8687, 1170},
+      {"algo_b", "algo-b", {}, false, 4942753835419980455ull, 8497, 1170},
       {"algo_b_keep_all", "algo-b", with("gc_versions", "false"), false,
-       3663571121835565165ull, 8009, 1050},
-      {"algo_b_crash", "algo-b", replicated(), true, 14194938596773543763ull, 19971, 1667},
-      {"algo_c", "algo-c", {}, false, 17381692404554326617ull, 11485, 1170},
+       3663571121835565165ull, 7819, 1050},
+      {"algo_b_crash", "algo-b", replicated(), true, 14194938596773543763ull, 19870, 1667},
+      {"algo_c", "algo-c", {}, false, 17381692404554326617ull, 11025, 1170},
       {"algo_c_keep_all", "algo-c", with("gc_versions", "false"), false,
-       4534953353085325870ull, 19309, 1050},
-      {"algo_c_crash", "algo-c", replicated(), true, 12340874317410677664ull, 22289, 1673},
-      {"adaptive", "adaptive", {}, false, 9956786984108163812ull, 9275, 1024},
+       4534953353085325870ull, 18849, 1050},
+      {"algo_c_crash", "algo-c", replicated(), true, 12340874317410677664ull, 21900, 1673},
+      {"adaptive", "adaptive", {}, false, 9956786984108163812ull, 9478, 1024},
       {"adaptive_no_cache", "adaptive", with("cache", "false"), false,
-       3785286944018992275ull, 9325, 1034},
-      {"adaptive_crash", "adaptive", replicated(), true, 8490711620098469447ull, 19654, 1460},
-      {"occ", "occ-reads", {}, false, 6159395236281633360ull, 17130, 2226},
+       3785286944018992275ull, 9528, 1034},
+      {"adaptive_crash", "adaptive", replicated(), true, 8490711620098469447ull, 19764, 1460},
+      {"occ", "occ-reads", {}, false, 6159395236281633360ull, 16499, 2226},
       {"occ_gc", "occ-reads", with("gc_versions", "true"), false,
-       7090836447564738853ull, 17108, 2258},
+       7090836447564738853ull, 16510, 2258},
       {"occ_coordinator_2", "occ-reads", with("coordinator", "2"), false,
-       4602182814936118964ull, 17130, 2226},
+       4602182814936118964ull, 16499, 2226},
   };
 }
 
