@@ -31,6 +31,14 @@ class CodecError : public std::runtime_error {
 /// masks.  Caps what a decoded mask may allocate.
 inline constexpr std::uint64_t kMaxMaskBits = std::uint64_t{1} << 20;
 
+/// Largest total of mask elements one message may decode to (docs/WIRE.md).
+/// A sparse mask of n elements can cost two bytes, so without this cap a
+/// small frame of many maximal masks (a replication batch of kListPush
+/// records) would allocate gigabytes.  It is eight times the 16 MiB frame cap
+/// (kMaxFrameBytes): every message whose dense wire-v1 bitmaps fit in a frame
+/// — in particular a replica join's full-log resend — still decodes.
+inline constexpr std::uint64_t kMaxMaskElemsPerMessage = std::uint64_t{1} << 27;
+
 /// Calls fn(i) for each set element of a dense 0/1 mask, ascending.  Zero
 /// bytes are skipped eight at a time, so a mask over k objects costs about
 /// k/8 word tests plus its set bits.  Bytes other than 0/1 would read as set
@@ -113,6 +121,10 @@ class BufWriter {
   void mask(const std::vector<std::uint8_t>& m) {
     SNOW_CHECK_MSG(m.size() <= kMaxMaskBits,
                    "mask of " << m.size() << " bits exceeds kMaxMaskBits");
+    mask_elems_ += m.size();
+    SNOW_CHECK_MSG(mask_elems_ <= kMaxMaskElemsPerMessage,
+                   "message masks total " << mask_elems_
+                                          << " elements, above kMaxMaskElemsPerMessage");
     uv(m.size());
     if (m.empty()) return;
     std::size_t count = 0;
@@ -135,6 +147,7 @@ class BufWriter {
   }
   std::vector<std::uint8_t> own_;
   std::vector<std::uint8_t>* buf_;
+  std::uint64_t mask_elems_ = 0;  ///< mask elements written, for the per-message cap.
 };
 
 /// Drop-in BufWriter stand-in that only counts bytes: encoded_size() runs the
@@ -248,12 +261,14 @@ class BufReader {
     return v;
   }
 
-  /// Decodes mask(n).  Untrusted input: n is capped, and the indices are
-  /// validated in a first pass so nothing n-sized is allocated for a
-  /// malformed mask.
+  /// Decodes mask(n).  Untrusted input: n is capped per mask and, summed
+  /// over the reader's masks, per message, and the indices are validated in
+  /// a first pass so nothing n-sized is allocated for a malformed mask.
   std::vector<std::uint8_t> mask() {
     const std::uint64_t n = uv();
     if (n > kMaxMaskBits) throw CodecError("mask length exceeds kMaxMaskBits");
+    if (n > mask_budget_) throw CodecError("message masks exceed kMaxMaskElemsPerMessage");
+    mask_budget_ -= n;
     if (n == 0) return {};
     const std::uint64_t count = uv();
     if (count > n) throw CodecError("mask has more set bits than its length");
@@ -288,6 +303,7 @@ class BufReader {
   }
   const std::vector<std::uint8_t>& buf_;
   std::size_t pos_ = 0;
+  std::uint64_t mask_budget_ = kMaxMaskElemsPerMessage;  ///< mask elements left to decode.
 };
 
 }  // namespace snowkit

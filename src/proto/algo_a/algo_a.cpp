@@ -216,6 +216,7 @@ const ProtocolRegistration kRegisterAlgoA{
 std::unique_ptr<ProtocolSystem> build_algo_a(Runtime& rt, HistoryRecorder& rec,
                                              const SystemConfig& cfg, AlgoAOptions opts) {
   cfg.validate();
+  cfg.validate_mask_width("algo-a");
   SNOW_CHECK_MSG(cfg.num_readers == 1 || opts.allow_multiple_readers,
                  "Algorithm A is SNOW only in MWSR; pass allow_multiple_readers to build the "
                  "intentionally unsafe multi-reader demo");

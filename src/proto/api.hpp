@@ -55,6 +55,10 @@ struct SystemConfig {
   /// (no objects, no clients, no servers) instead of letting the error
   /// surface as downstream UB in OpStream / coordinator indexing.
   void validate() const;
+
+  /// Throws std::invalid_argument when `protocol`, whose messages carry one
+  /// mask element per object, cannot encode num_objects of them (kMaxMaskBits).
+  void validate_mask_width(const std::string& protocol) const;
 };
 
 /// Deprecated name kept for migration; prefer SystemConfig.

@@ -94,13 +94,22 @@ Tag CoorList::push(const WriteKey& key, const std::vector<std::uint8_t>& mask) {
   for_each_mask_bit(mask, [&](std::size_t i) {
     history_[i].push_back(ListedKey{pos, key});
     latest_[i] = key;
-    pushes_.emplace_back(pos, static_cast<ObjectId>(i));
+    if (max_finalized_ != 0) pushes_.emplace_back(pos, static_cast<ObjectId>(i));  // see finalize
   });
   return pos;
 }
 
 void CoorList::finalize(Tag position) {
   if (position <= max_finalized_) return;
+  if (max_finalized_ == 0) {
+    // The first finalize queues every listing so far (push queued none).
+    for (std::size_t i = 0; i < k_; ++i) {
+      for (const ListedKey& e : history_[i]) {
+        if (e.position != 0) pushes_.emplace_back(e.position, static_cast<ObjectId>(i));
+      }
+    }
+    std::sort(pushes_.begin(), pushes_.end());
+  }
   max_finalized_ = position;
   advance_();
 }

@@ -176,7 +176,9 @@ class CoorList {
   std::vector<WriteKey> latest_;
   /// (position, object) of every listing above the watermark, in position
   /// order: the objects a watermark advance may trim, so advance_ costs the
-  /// entries it drops rather than k.
+  /// entries it drops rather than k.  A keep-all list (gc off) never
+  /// finalizes and so would never drain it: push queues nothing until the
+  /// first finalize, which queues the listings made before it.
   std::deque<std::pair<Tag, ObjectId>> pushes_;
 
   struct ReaderSlot {

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/buffer.hpp"
 #include "msg/message.hpp"
 
 namespace snowkit::net {
@@ -44,6 +45,8 @@ inline constexpr std::uint64_t kWireVersion = 2;
 /// magnitude smaller, so an absurd length prefix means a desynced or hostile
 /// stream and must not drive a multi-gigabyte allocation.
 inline constexpr std::size_t kMaxFrameBytes = 16u << 20;
+static_assert(kMaxMaskElemsPerMessage == 8 * kMaxFrameBytes,
+              "a frame of dense wire-v1 masks must still decode under the v2 mask budget");
 
 enum class FrameType : std::uint8_t {
   kHello = 0x01,     ///< handshake: identifies the sending fleet process.

@@ -211,5 +211,59 @@ TEST(Codec, TryDecodeRejectsMalformedMasks) {
   EXPECT_EQ(std::get<GetTagArrReq>(out.payload).want.size(), kMaxMaskBits);
 }
 
+/// A ReplAppendReq (or ReplJoinResp) of `records` kListPush records, each
+/// with an n-element mask that has no set bits: a record is under 20 bytes on
+/// the wire whatever n is, but decodes to n mask bytes.
+std::vector<std::uint8_t> empty_mask_batch(bool join, std::size_t records, std::uint64_t n) {
+  BufWriter w;
+  w.uv(7);  // txn
+  w.u8(static_cast<std::uint8_t>(join ? Payload{ReplJoinResp{}}.index()
+                                      : Payload{ReplAppendReq{}}.index()));
+  w.uv(1);            // epoch
+  if (join) w.u8(0);  // reset
+  w.uv(0);            // first_seq
+  w.uv(records);
+  for (std::size_t i = 0; i < records; ++i) {
+    w.u8(ReplRecord::kListPush);
+    w.uv(0);      // obj
+    w.uv(i + 1);  // key.seq
+    w.uv(1);      // key.writer + 1
+    w.zz(0);      // value
+    w.uv(i + 1);  // position
+    w.uv(0);      // watermark
+    w.uv(n);
+    w.uv(0);      // set-bit count
+    w.uv(i + 1);  // txn
+    w.uv(1);      // writer + 1
+    w.uv(1);      // epoch
+    w.u8(0);      // primary
+  }
+  return w.take();
+}
+
+TEST(Codec, TryDecodeCapsTheMaskElementsOfOneMessage) {
+  constexpr std::size_t kFit = kMaxMaskElemsPerMessage / kMaxMaskBits;
+  for (const bool join : {false, true}) {
+    // One record past the budget, and an 18 KB frame that would otherwise
+    // ask for a GiB: both are refused before the over-budget mask is built.
+    for (const std::size_t records : {kFit + 1, std::size_t{1024}}) {
+      const auto bytes = empty_mask_batch(join, records, kMaxMaskBits);
+      EXPECT_LT(bytes.size(), 20 * records);
+      Message out;
+      std::string err;
+      EXPECT_FALSE(try_decode_message(bytes, out, err)) << join << " " << records;
+      EXPECT_NE(err.find("kMaxMaskElemsPerMessage"), std::string::npos) << err;
+    }
+    // A full-log resend at k = 4096 is far inside the budget.
+    Message out;
+    std::string err;
+    ASSERT_TRUE(try_decode_message(empty_mask_batch(join, 1000, 4096), out, err)) << err;
+    const auto& recs = join ? std::get<ReplJoinResp>(out.payload).records
+                            : std::get<ReplAppendReq>(out.payload).records;
+    ASSERT_EQ(recs.size(), 1000u);
+    EXPECT_EQ(recs.back().mask, std::vector<std::uint8_t>(4096, 0));
+  }
+}
+
 }  // namespace
 }  // namespace snowkit

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "checker/tag_order.hpp"
+#include "common/buffer.hpp"
 #include "core/run_workload.hpp"
 #include "core/system.hpp"
 #include "metrics/wire_stats.hpp"
@@ -158,6 +159,18 @@ TEST(CoordinatorBuilder, CoordinatorOutOfRangeThrows) {
 TEST(CoordinatorBuilder, ThreeReplicasThrow) {
   for (const char* protocol : {"algo-b", "algo-c", "adaptive", "broken-adaptive"}) {
     expect_build_throws(protocol, with("replicas", "3"));
+  }
+}
+
+TEST(MaskCarryingBuilder, ObjectCountAboveTheMaskCapThrows) {
+  // Every mask-carrying protocol is refused at build time, before its first
+  // update-coor or get-tag-arr would abort the encoder.
+  for (const char* protocol : {"algo-a", "algo-b", "algo-c", "adaptive", "occ-reads"}) {
+    SimRuntime sim;
+    HistoryRecorder rec(kMaxMaskBits + 1);
+    SystemConfig cfg{kMaxMaskBits + 1, 1, 1};
+    cfg.num_servers = 2;
+    EXPECT_THROW(build_protocol(protocol, sim, rec, cfg, {}), std::invalid_argument) << protocol;
   }
 }
 
