@@ -21,7 +21,7 @@ void demo_fracture() {
   std::printf("--- demo 1: fracturing the naive one-round READ transaction ---------------\n");
   SimRuntime rt;
   HistoryRecorder recorder(2);
-  auto system = build_protocol("naive", rt, recorder, Topology{2, 1, 1});
+  auto system = build_protocol("naive", rt, recorder, SystemConfig{2, 1, 1});
   rt.start();
   rt.hold_matching(script::all_of({script::payload_is("simple-write"), script::to_node(1)}));
 

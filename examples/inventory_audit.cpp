@@ -34,7 +34,7 @@ AuditStats run_audits(const std::string& kind, bool adversarial, std::uint64_t s
   const std::size_t shards = 4;
   SimRuntime rt(make_uniform_delay(50'000, 1'500'000, seed));
   HistoryRecorder recorder(shards);
-  auto system = build_protocol(kind, rt, recorder, Topology{shards, 1, 2});
+  auto system = build_protocol(kind, rt, recorder, SystemConfig{shards, 1, 2});
   rt.start();
 
   const Value total = kPerShard * static_cast<Value>(shards);

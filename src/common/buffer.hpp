@@ -7,11 +7,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/types.hpp"
 
 namespace snowkit {
 
@@ -25,41 +27,6 @@ class CodecError : public std::runtime_error {
  public:
   explicit CodecError(const std::string& what) : std::runtime_error(what) {}
 };
-
-/// Largest mask length the wire accepts (docs/WIRE.md): one bit per object,
-/// so this also bounds the object count of a system whose messages carry
-/// masks.  Caps what a decoded mask may allocate.
-inline constexpr std::uint64_t kMaxMaskBits = std::uint64_t{1} << 20;
-
-/// Largest total of mask elements one message may decode to (docs/WIRE.md).
-/// A sparse mask of n elements can cost two bytes, so without this cap a
-/// small frame of many maximal masks (a replication batch of kListPush
-/// records) would allocate gigabytes.  It is eight times the 16 MiB frame cap
-/// (kMaxFrameBytes): every message whose dense wire-v1 bitmaps fit in a frame
-/// — in particular a replica join's full-log resend — still decodes.
-inline constexpr std::uint64_t kMaxMaskElemsPerMessage = std::uint64_t{1} << 27;
-
-/// Calls fn(i) for each set element of a dense 0/1 mask, ascending.  Zero
-/// bytes are skipped eight at a time, so a mask over k objects costs about
-/// k/8 word tests plus its set bits.  Bytes other than 0/1 would read as set
-/// — fail fast at the violating caller instead of corrupting silently.
-template <typename Fn>
-void for_each_mask_bit(const std::vector<std::uint8_t>& m, Fn&& fn) {
-  const std::size_t n = m.size();
-  const auto visit = [&](std::size_t i) {
-    if (m[i] == 0) return;
-    SNOW_CHECK_MSG(m[i] == 1, "mask byte " << int(m[i]) << " is not 0/1");
-    fn(i);
-  };
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t word;
-    std::memcpy(&word, m.data() + i, sizeof word);
-    if (word == 0) continue;
-    for (std::size_t j = i; j < i + 8; ++j) visit(j);
-  }
-  for (; i < n; ++i) visit(i);
-}
 
 class BufWriter {
  public:
@@ -82,7 +49,7 @@ class BufWriter {
   void i64(std::int64_t v) { raw(&v, sizeof v); }
 
   /// LEB128 varint: 1 byte for values < 128, the common case for object ids,
-  /// tags, masks lengths and delta-coded positions on the wire.
+  /// tags, set sizes and delta-coded ids and positions on the wire.
   void uv(std::uint64_t v) {
     while (v >= 0x80) {
       buf_->push_back(static_cast<std::uint8_t>(v) | 0x80);
@@ -114,27 +81,18 @@ class BufWriter {
     for (const auto& e : v) write_elem(*this, e);
   }
 
-  /// A 0/1 mask as its length, its set-bit count and the delta-coded
-  /// ascending set-bit indices (docs/WIRE.md `mask(n)`), so a mask costs
-  /// bytes in proportion to its set bits, not to n.  An empty mask is its
-  /// length alone: one byte, as every non-push ReplRecord carries one.
-  void mask(const std::vector<std::uint8_t>& m) {
-    SNOW_CHECK_MSG(m.size() <= kMaxMaskBits,
-                   "mask of " << m.size() << " bits exceeds kMaxMaskBits");
-    mask_elems_ += m.size();
-    SNOW_CHECK_MSG(mask_elems_ <= kMaxMaskElemsPerMessage,
-                   "message masks total " << mask_elems_
-                                          << " elements, above kMaxMaskElemsPerMessage");
-    uv(m.size());
-    if (m.empty()) return;
-    std::size_t count = 0;
-    for_each_mask_bit(m, [&](std::size_t) { ++count; });
-    uv(count);
-    std::size_t prev = 0;
-    for_each_mask_bit(m, [&](std::size_t i) {
-      uv(i - prev);
-      prev = i;
-    });
+  /// An object set as its size and its delta-coded ascending ids
+  /// (docs/WIRE.md `ids`), so it costs bytes in proportion to its members.
+  /// The empty set is uv(0) alone: one byte, as every non-push ReplRecord
+  /// carries one.
+  void ids(const std::vector<ObjectId>& v) {
+    uv(v.size());
+    ObjectId prev = 0;
+    for (std::size_t j = 0; j < v.size(); ++j) {
+      SNOW_CHECK_MSG(j == 0 || v[j] > prev, "object set is not strictly ascending");
+      uv(v[j] - prev);
+      prev = v[j];
+    }
   }
 
   std::vector<std::uint8_t> take() { return std::move(*buf_); }
@@ -147,7 +105,6 @@ class BufWriter {
   }
   std::vector<std::uint8_t> own_;
   std::vector<std::uint8_t>* buf_;
-  std::uint64_t mask_elems_ = 0;  ///< mask elements written, for the per-message cap.
 };
 
 /// Drop-in BufWriter stand-in that only counts bytes: encoded_size() runs the
@@ -185,17 +142,13 @@ class SizeWriter {
     for (const auto& e : v) write_elem(*this, e);
   }
 
-  void mask(const std::vector<std::uint8_t>& m) {
-    uv(m.size());
-    if (m.empty()) return;
-    std::size_t count = 0;
-    std::size_t prev = 0;
-    for_each_mask_bit(m, [&](std::size_t i) {
-      ++count;
-      uv(i - prev);
-      prev = i;
-    });
-    uv(count);
+  void ids(const std::vector<ObjectId>& v) {
+    uv(v.size());
+    ObjectId prev = 0;
+    for (ObjectId id : v) {
+      uv(id - prev);
+      prev = id;
+    }
   }
 
   std::size_t size() const { return n_; }
@@ -261,33 +214,30 @@ class BufReader {
     return v;
   }
 
-  /// Decodes mask(n).  Untrusted input: n is capped per mask and, summed
-  /// over the reader's masks, per message, and the indices are validated in
-  /// a first pass so nothing n-sized is allocated for a malformed mask.
-  std::vector<std::uint8_t> mask() {
-    const std::uint64_t n = uv();
-    if (n > kMaxMaskBits) throw CodecError("mask length exceeds kMaxMaskBits");
-    if (n > mask_budget_) throw CodecError("message masks exceed kMaxMaskElemsPerMessage");
-    mask_budget_ -= n;
-    if (n == 0) return {};
+  /// Decodes ids.  Untrusted input: every id costs at least one byte, so a
+  /// count above the bytes left is refused before anything is reserved, and
+  /// a first pass refuses repeated ids and sums that overflow ObjectId.  The
+  /// decoded set thus takes at most sizeof(ObjectId) bytes per wire byte.
+  std::vector<ObjectId> ids() {
     const std::uint64_t count = uv();
-    if (count > n) throw CodecError("mask has more set bits than its length");
+    if (count > buf_.size() - pos_) throw CodecError("id count exceeds the bytes left");
     const std::size_t first = pos_;
-    std::uint64_t idx = 0;
+    std::uint64_t id = 0;
     for (std::uint64_t j = 0; j < count; ++j) {
       const std::uint64_t d = uv();
-      if (j != 0 && d == 0) throw CodecError("mask indices repeat");
-      if (d >= n - idx) throw CodecError("mask index out of range or not ascending");
-      idx += d;
+      if (j != 0 && d == 0) throw CodecError("ids repeat");
+      if (d > std::numeric_limits<ObjectId>::max() - id) throw CodecError("id overflows ObjectId");
+      id += d;
     }
-    std::vector<std::uint8_t> m(n, 0);
+    std::vector<ObjectId> v;
+    v.reserve(count);
     pos_ = first;
-    idx = 0;
+    id = 0;
     for (std::uint64_t j = 0; j < count; ++j) {
-      idx += uv();
-      m[idx] = 1;
+      id += uv();
+      v.push_back(static_cast<ObjectId>(id));
     }
-    return m;
+    return v;
   }
 
   bool done() const { return pos_ == buf_.size(); }
@@ -303,7 +253,6 @@ class BufReader {
   }
   const std::vector<std::uint8_t>& buf_;
   std::size_t pos_ = 0;
-  std::uint64_t mask_budget_ = kMaxMaskElemsPerMessage;  ///< mask elements left to decode.
 };
 
 }  // namespace snowkit

@@ -3,10 +3,9 @@
 // WorkloadDriver pushes a WorkloadSpec through a ProtocolSystem's unified
 // TxnClient API on either substrate.  Three arrival disciplines:
 //
-//  * split closed loop (default, the seed's ClosedLoopDriver): reader i
-//    chains ops_per_reader READs, writer j chains ops_per_writer WRITEs —
-//    every client always has exactly one transaction in flight (the paper's
-//    well-formedness condition);
+//  * split closed loop (default): reader i chains ops_per_reader READs,
+//    writer j chains ops_per_writer WRITEs — every client always has exactly
+//    one transaction in flight (the paper's well-formedness condition);
 //  * mixed closed loop: each unified client chains ops_per_client operations,
 //    choosing READ vs WRITE per op with probability read_fraction;
 //  * open loop: total_ops arrivals paced by runtime timers (virtual time on
@@ -198,9 +197,6 @@ class WorkloadDriver {
   std::condition_variable cv_;
   bool finished_{false};  ///< guarded by mu_; set by the last op_finished as it notifies.
 };
-
-/// Deprecated name for the default split-closed-loop configuration.
-using ClosedLoopDriver = WorkloadDriver;
 
 /// Latency summary over the completed READ (or WRITE) transactions of a
 /// history, using recorded invoke/respond timestamps.

@@ -13,10 +13,10 @@ namespace {
 // Encoding conventions (the compact wire format):
 //  * integers ride as LEB128 varints (`uv`), values as zigzag varints (`zz`),
 //    so the common small-number case costs one byte instead of 4-8;
-//  * 0/1 interest masks ride sparse: length, set-bit count, then the
-//    delta-coded ascending indices of the set bits (BufWriter::mask);
-//  * tag arrays carry one entry per object set in the get-tag-arr `want`
-//    mask, in ascending object order — a READ's span, not k;
+//  * object sets ride as their size, then their delta-coded ascending ids
+//    (BufWriter::ids);
+//  * tag arrays carry one entry per object in the get-tag-arr `want`, in
+//    ascending object order — a READ's span, not k;
 //  * version lists are delta-coded: Vals is key-ordered, so consecutive
 //    WriteKey seqs are non-decreasing and each entry stores only the delta;
 //  * List histories are position-ascending, so positions delta-code the
@@ -115,7 +115,7 @@ void put_repl_record(W& w, const ReplRecord& r) {
   w.zz(r.value);
   w.uv(r.position);
   w.uv(r.watermark);
-  w.mask(r.mask);
+  w.ids(r.mask);
   w.uv(r.txn);
   put_writer(w, r.writer);
   w.uv(r.epoch);
@@ -130,7 +130,7 @@ ReplRecord get_repl_record(BufReader& r) {
   rec.value = r.zz();
   rec.position = r.uv();
   rec.watermark = r.uv();
-  rec.mask = r.mask();
+  rec.mask = r.ids();
   rec.txn = r.uv();
   rec.writer = get_writer(r);
   rec.epoch = r.uv();
@@ -144,11 +144,11 @@ struct Encoder {
 
   void operator()(const WriteValReq& p) { put_key(w, p.key); w.uv(p.obj); w.zz(p.value); }
   void operator()(const WriteValAck& p) { put_key(w, p.key); w.uv(p.obj); }
-  void operator()(const InfoReaderReq& p) { put_key(w, p.key); w.mask(p.mask); }
+  void operator()(const InfoReaderReq& p) { put_key(w, p.key); w.ids(p.mask); }
   void operator()(const InfoReaderAck& p) { w.uv(p.tag); }
-  void operator()(const UpdateCoorReq& p) { put_key(w, p.key); w.mask(p.mask); }
+  void operator()(const UpdateCoorReq& p) { put_key(w, p.key); w.ids(p.mask); }
   void operator()(const UpdateCoorAck& p) { w.uv(p.tag); w.uv(p.watermark); }
-  void operator()(const GetTagArrReq& p) { w.mask(p.want); }
+  void operator()(const GetTagArrReq& p) { w.ids(p.want); }
   void operator()(const GetTagArrResp& p) {
     w.uv(p.tag);
     w.uv(p.watermark);
@@ -207,7 +207,7 @@ struct Encoder {
     w.uv(p.tag);
     w.uv(p.watermark);
     w.cvec(p.latest, [](auto& w2, const WriteKey& k) { put_key(w2, k); });
-    w.mask(p.modes);
+    w.ids(p.modes);
     w.uv(p.mode_epoch);
   }
   void operator()(const ReadValBatchReq& p) {
@@ -258,7 +258,7 @@ WriteValAck Decoder::get<WriteValAck>() {
 }
 template <>
 InfoReaderReq Decoder::get<InfoReaderReq>() {
-  InfoReaderReq p; p.key = get_key(r); p.mask = r.mask(); return p;
+  InfoReaderReq p; p.key = get_key(r); p.mask = r.ids(); return p;
 }
 template <>
 InfoReaderAck Decoder::get<InfoReaderAck>() {
@@ -266,7 +266,7 @@ InfoReaderAck Decoder::get<InfoReaderAck>() {
 }
 template <>
 UpdateCoorReq Decoder::get<UpdateCoorReq>() {
-  UpdateCoorReq p; p.key = get_key(r); p.mask = r.mask(); return p;
+  UpdateCoorReq p; p.key = get_key(r); p.mask = r.ids(); return p;
 }
 template <>
 UpdateCoorAck Decoder::get<UpdateCoorAck>() {
@@ -274,7 +274,7 @@ UpdateCoorAck Decoder::get<UpdateCoorAck>() {
 }
 template <>
 GetTagArrReq Decoder::get<GetTagArrReq>() {
-  GetTagArrReq p; p.want = r.mask(); return p;
+  GetTagArrReq p; p.want = r.ids(); return p;
 }
 template <>
 GetTagArrResp Decoder::get<GetTagArrResp>() {
@@ -430,7 +430,7 @@ AdaptTagArrResp Decoder::get<AdaptTagArrResp>() {
   p.tag = r.uv();
   p.watermark = r.uv();
   p.latest = r.cvec<WriteKey>([](BufReader& r2) { return get_key(r2); });
-  p.modes = r.mask();
+  p.modes = r.ids();
   p.mode_epoch = r.uv();
   return p;
 }
@@ -493,8 +493,8 @@ Payload decode_alternative(std::size_t index, BufReader& r) {
 
 static_assert(std::variant_size_v<Payload> <= 256, "payload index must fit one byte");
 
-// Payload-tag FREEZE (docs/WIRE.md; unchanged from snowkit-wire-v1 to v2,
-// which changed only the mask and tag-array encodings): the tag is the variant
+// Payload-tag FREEZE (docs/WIRE.md; unchanged from snowkit-wire-v1 through
+// v3, which changed only the object-set and tag-array encodings): the tag is the variant
 // index, and both the TCP transport and the checked-in fuzz trace files
 // depend on these numbers.  APPEND new payloads to the variant; reordering
 // or inserting breaks every stored trace and any mixed-version fleet, so it

@@ -8,6 +8,7 @@
 // protocol messages that serve as comparators.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <variant>
@@ -16,6 +17,14 @@
 #include "common/types.hpp"
 
 namespace snowkit {
+
+/// An object set as every payload carries one (`mask`, `want`, `modes`):
+/// its members in ascending order, each once.
+inline std::vector<ObjectId> object_set(std::vector<ObjectId> objs) {
+  std::sort(objs.begin(), objs.end());
+  objs.erase(std::unique(objs.begin(), objs.end()), objs.end());
+  return objs;
+}
 
 /// A (key, value) version as stored in a server's Vals set (§5.2).
 struct Version {
@@ -54,7 +63,7 @@ struct WriteValAck {
 /// info-reader: writer -> reader (Algorithm A; this is the C2C message).
 struct InfoReaderReq {
   WriteKey key;
-  std::vector<std::uint8_t> mask;  ///< b_1..b_k, 1 iff object i was written.
+  std::vector<ObjectId> mask;  ///< the written objects (b_i = 1), ascending.
   friend bool operator==(const InfoReaderReq&, const InfoReaderReq&) = default;
 };
 
@@ -68,7 +77,7 @@ struct InfoReaderAck {
 /// update-coor: writer -> coordinator s* (Algorithms B and C).
 struct UpdateCoorReq {
   WriteKey key;
-  std::vector<std::uint8_t> mask;
+  std::vector<ObjectId> mask;  ///< the written objects (b_i = 1), ascending.
 
   friend bool operator==(const UpdateCoorReq&, const UpdateCoorReq&) = default;
 };
@@ -86,14 +95,14 @@ struct UpdateCoorAck {
 
 /// get-tag-arr: reader -> coordinator s*.
 struct GetTagArrReq {
-  std::vector<std::uint8_t> want;  ///< interest mask over objects: the READ's set I.
+  std::vector<ObjectId> want;  ///< the READ's set I, ascending.
   friend bool operator==(const GetTagArrReq&, const GetTagArrReq&) = default;
 };
 
 /// (t_r, (kappa_i) for i in I): coordinator -> reader.  Entries follow the
-/// request's `want` mask: one per object set there, in ascending object
-/// order, so the array costs O(|I|) whatever k is (CoorReader::by_object
-/// maps them back).  For Algorithm C the response additionally carries, per
+/// request's `want`: one per object listed there, in ascending object order,
+/// so the array costs O(|I|) whatever k is (CoorReader::by_object maps them
+/// back).  For Algorithm C the response additionally carries, per
 /// requested object, the key history (position, key) so the reader can run
 /// the feasibility descent (see DESIGN.md §5 and proto/algo_c).
 struct GetTagArrResp {
@@ -327,7 +336,7 @@ struct ReplRecord {
   Value value{kInitialValue};
   Tag position{0};
   Tag watermark{0};
-  std::vector<std::uint8_t> mask;  ///< kListPush: the update-coor interest mask.
+  std::vector<ObjectId> mask;      ///< kListPush: the update-coor's written objects.
   TxnId txn{kInvalidTxn};          ///< kListPush: the writer's txn (retry dedup).
   NodeId writer{kInvalidNode};     ///< kListPush: the writer node (retry dedup).
   std::uint64_t epoch{0};          ///< kEpoch: new epoch value.
@@ -413,17 +422,17 @@ struct NodeDownNotice {
 
 /// Coordinator -> reader, the adaptive tag-array response (replaces
 /// GetTagArrResp on the adaptive read path).  `latest` follows the request's
-/// `want` like GetTagArrResp's; `modes` is the full per-object
-/// fetch-mode mask (bit i = 1 iff object i is in C-mode, i.e. readers should
-/// prefetch its version list in round 1).  `mode_epoch` fences switches:
-/// readers adopt `modes` only when `mode_epoch` is >= their cached epoch, so
-/// a held or reordered response can never roll the mode table backwards —
-/// and an in-flight read always completes under the plan it started with.
+/// `want` like GetTagArrResp's; `modes` lists the objects in C-mode, i.e.
+/// those whose version lists readers should prefetch in round 1.
+/// `mode_epoch` fences switches: readers adopt `modes` only when
+/// `mode_epoch` is >= their cached epoch, so a held or reordered response
+/// can never roll the modes backwards — and an in-flight read always
+/// completes under the plan it started with.
 struct AdaptTagArrResp {
   Tag tag{0};
   Tag watermark{0};
   std::vector<WriteKey> latest;    ///< kappa_i per requested object, ascending.
-  std::vector<std::uint8_t> modes; ///< per-object fetch mode (1 = C/prefetch), all k.
+  std::vector<ObjectId> modes;     ///< the C-mode (prefetch) objects, ascending.
   std::uint64_t mode_epoch{0};     ///< bumps on every coordinator switch.
   friend bool operator==(const AdaptTagArrResp&, const AdaptTagArrResp&) = default;
 };

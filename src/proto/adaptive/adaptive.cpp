@@ -25,7 +25,7 @@ class ReaderAdapt final : public CoorReader {
   ReaderAdapt(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard,
               bool replicated, bool cache_reads, bool broken_cache)
       : CoorReader(rec, place, coor_shard), replicated_(replicated), cache_reads_(cache_reads),
-        broken_cache_(broken_cache), modes_(place.num_objects(), 0) {}
+        broken_cache_(broken_cache) {}
 
   void read(std::vector<ObjectId> objs, ReadCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
@@ -131,7 +131,7 @@ class ReaderAdapt final : public CoorReader {
     std::map<std::size_t, ReadValsBatchReq> by_shard;
     for (ObjectId obj : pending_->objs) {
       const bool uncached = cache_reads_ && cache_.find(obj) == cache_.end();
-      if (modes_[obj] == 0 && !uncached) continue;
+      if (!std::binary_search(modes_.begin(), modes_.end(), obj) && !uncached) continue;
       auto& batch = by_shard[place_.shard_of(obj)];
       batch.watermark = last_watermark_;
       batch.objs.push_back(obj);
@@ -147,9 +147,9 @@ class ReaderAdapt final : public CoorReader {
     pending_->tag = ta.tag;
     pending_->watermark = ta.watermark;
     last_watermark_ = std::max(last_watermark_, ta.watermark);
-    // Epoch fence: adopt the mode table only when it is at least as new as
+    // Epoch fence: adopt the C-mode list only when it is at least as new as
     // the one we hold, so a held/reordered response can't roll modes back.
-    if (ta.mode_epoch >= mode_epoch_ && ta.modes.size() == modes_.size()) {
+    if (ta.mode_epoch >= mode_epoch_) {
       modes_ = ta.modes;
       mode_epoch_ = ta.mode_epoch;
     }
@@ -229,7 +229,7 @@ class ReaderAdapt final : public CoorReader {
     if (tn.shard == coor_shard_) {
       // New coordinator lineage: its mode epochs restart from zero, so our
       // fence must too.
-      modes_.assign(modes_.size(), 0);
+      modes_.clear();
       mode_epoch_ = 0;
     }
     if (!pending_) return;
@@ -258,7 +258,7 @@ class ReaderAdapt final : public CoorReader {
   bool replicated_;
   bool cache_reads_;
   bool broken_cache_;
-  std::vector<std::uint8_t> modes_;  ///< adopted per-object fetch modes.
+  std::vector<ObjectId> modes_;  ///< adopted C-mode objects, ascending.
   std::uint64_t mode_epoch_{0};
   Tag last_watermark_{0};
   std::map<ObjectId, Version> cache_;  ///< (key, value) per object.

@@ -24,9 +24,9 @@
 //    TakeoverNotice epoch bump.
 //
 // The coordinator tracks per-object write rates with a lazily-decayed EWMA
-// over update-coor masks and flips modes with hysteresis (switch_up /
+// over update-coor object sets and flips modes with hysteresis (switch_up /
 // switch_down).  Each flip bumps a mode epoch that rides AdaptTagArrResp;
-// readers adopt a mode table only at equal-or-newer epochs, so reordered
+// readers adopt its C-mode list only at equal-or-newer epochs, so reordered
 // responses can never roll modes backwards, and a READ in flight completes
 // under the plan it started with.  Switches are reported through
 // Runtime::note_switch, which the sim's schedule recorder turns into

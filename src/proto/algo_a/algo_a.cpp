@@ -1,5 +1,6 @@
 #include "proto/algo_a/algo_a.hpp"
 
+#include <algorithm>
 #include <map>
 
 #include "common/assert.hpp"
@@ -30,9 +31,8 @@ class ServerA final : public Node {
 
 class ReaderA final : public Node, public ReadClientApi {
  public:
-  ReaderA(HistoryRecorder& rec, const Placement& place)
-      : rec_(rec), place_(place), k_(place.num_objects()) {
-    list_.push_back({kInitialKey, std::vector<std::uint8_t>(k_, 1)});
+  ReaderA(HistoryRecorder& rec, const Placement& place) : rec_(rec), place_(place) {
+    list_.push_back({kInitialKey, {}});  // List[0] covers every object implicitly
   }
 
   void read(std::vector<ObjectId> objs, ReadCallback cb) override {
@@ -58,7 +58,6 @@ class ReaderA final : public Node, public ReadClientApi {
 
   void on_message(NodeId from, const Message& m) override {
     if (const auto* ir = std::get_if<InfoReaderReq>(&m.payload)) {
-      SNOW_CHECK(ir->mask.size() == k_);
       list_.push_back({ir->key, ir->mask});
       send(from, Message{m.txn, InfoReaderAck{static_cast<Tag>(list_.size() - 1)}});
       return;
@@ -82,10 +81,11 @@ class ReaderA final : public Node, public ReadClientApi {
   };
 
   std::size_t latest_entry_for(ObjectId obj) const {
-    for (std::size_t j = list_.size(); j-- > 0;) {
-      if (list_[j].second[obj] != 0) return j;
+    for (std::size_t j = list_.size(); j-- > 1;) {
+      const auto& objs = list_[j].second;
+      if (std::binary_search(objs.begin(), objs.end(), obj)) return j;
     }
-    SNOW_UNREACHABLE("List[0] covers every object");
+    return 0;  // the initial entry
   }
 
   void complete() {
@@ -101,15 +101,14 @@ class ReaderA final : public Node, public ReadClientApi {
 
   HistoryRecorder& rec_;
   Placement place_;
-  std::size_t k_;
-  std::vector<std::pair<WriteKey, std::vector<std::uint8_t>>> list_;
+  std::vector<std::pair<WriteKey, std::vector<ObjectId>>> list_;  ///< (key, object set).
   std::optional<Pending> pending_;
 };
 
 class WriterA final : public Node, public WriteClientApi {
  public:
   WriterA(HistoryRecorder& rec, const Placement& place, std::vector<NodeId> readers)
-      : rec_(rec), place_(place), k_(place.num_objects()), readers_(std::move(readers)) {}
+      : rec_(rec), place_(place), readers_(std::move(readers)) {}
 
   void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "writer " << id() << " already has a WRITE in flight");
@@ -118,14 +117,15 @@ class WriterA final : public Node, public WriteClientApi {
     pending_.emplace();
     pending_->txn = txn;
     pending_->key = WriteKey{++z_, id()};
-    pending_->mask.assign(k_, 0);
     pending_->await_server_acks = writes.size();
     pending_->await_reader_acks = readers_.size();
     pending_->cb = std::move(cb);
+    std::vector<ObjectId> objs;
     for (const auto& [obj, value] : writes) {
-      pending_->mask[obj] = 1;
+      objs.push_back(obj);
       send(place_.server_node(obj), Message{txn, WriteValReq{pending_->key, obj, value}});
     }
+    pending_->mask = object_set(std::move(objs));
   }
 
   NodeId node_id() const override { return id(); }
@@ -161,7 +161,7 @@ class WriterA final : public Node, public WriteClientApi {
   struct Pending {
     TxnId txn{kInvalidTxn};
     WriteKey key;
-    std::vector<std::uint8_t> mask;
+    std::vector<ObjectId> mask;  ///< the info-reader object set.
     std::size_t await_server_acks{0};
     std::size_t await_reader_acks{0};
     Tag tag{0};
@@ -170,7 +170,6 @@ class WriterA final : public Node, public WriteClientApi {
 
   HistoryRecorder& rec_;
   Placement place_;
-  std::size_t k_;
   std::vector<NodeId> readers_;
   std::uint64_t z_ = 0;
   std::optional<Pending> pending_;
@@ -216,7 +215,6 @@ const ProtocolRegistration kRegisterAlgoA{
 std::unique_ptr<ProtocolSystem> build_algo_a(Runtime& rt, HistoryRecorder& rec,
                                              const SystemConfig& cfg, AlgoAOptions opts) {
   cfg.validate();
-  cfg.validate_mask_width("algo-a");
   SNOW_CHECK_MSG(cfg.num_readers == 1 || opts.allow_multiple_readers,
                  "Algorithm A is SNOW only in MWSR; pass allow_multiple_readers to build the "
                  "intentionally unsafe multi-reader demo");

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/assert.hpp"
-#include "common/buffer.hpp"
 
 namespace snowkit {
 
@@ -22,14 +21,6 @@ void SystemConfig::validate() const {
   if (server_count() == 0) {
     throw std::invalid_argument("SystemConfig: num_servers must be >= 1 (use 0 for the "
                                 "one-server-per-object default)");
-  }
-}
-
-void SystemConfig::validate_mask_width(const std::string& protocol) const {
-  if (num_objects > kMaxMaskBits) {
-    throw std::invalid_argument(protocol + " carries one mask element per object; num_objects " +
-                                std::to_string(num_objects) + " exceeds kMaxMaskBits (" +
-                                std::to_string(kMaxMaskBits) + ")");
   }
 }
 

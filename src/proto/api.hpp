@@ -37,8 +37,8 @@ enum class PlacementKind : std::uint8_t {
 };
 
 /// Topology + placement for building a protocol instance.  The first three
-/// fields keep the seed Topology's order so `{k, readers, writers}` aggregate
-/// initialization continues to work.
+/// fields are ordered so `{k, readers, writers}` aggregate initialization
+/// works.
 struct SystemConfig {
   std::size_t num_objects{2};
   std::size_t num_readers{1};
@@ -55,14 +55,7 @@ struct SystemConfig {
   /// (no objects, no clients, no servers) instead of letting the error
   /// surface as downstream UB in OpStream / coordinator indexing.
   void validate() const;
-
-  /// Throws std::invalid_argument when `protocol`, whose messages carry one
-  /// mask element per object, cannot encode num_objects of them (kMaxMaskBits).
-  void validate_mask_width(const std::string& protocol) const;
 };
-
-/// Deprecated name kept for migration; prefer SystemConfig.
-using Topology = SystemConfig;
 
 /// The resolved object->server map of a SystemConfig.  Servers always occupy
 /// node ids [0, num_servers) in registration order, so the map doubles as an

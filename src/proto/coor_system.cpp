@@ -21,7 +21,6 @@ CoorNodes add_coor_nodes(Runtime& rt, HistoryRecorder& rec, const SystemConfig& 
                          const CoorOptions& opts, TagArrShape shape,
                          const ReaderFactory& make_reader, const ModeTrackerConfig& modes) {
   cfg.validate();
-  cfg.validate_mask_width(opts.name);
   const Placement place(cfg);
   const std::size_t servers = place.num_servers();
   if (opts.coordinator >= servers) {

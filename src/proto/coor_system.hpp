@@ -72,17 +72,14 @@ class CoorReader : public Node, public ReadClientApi {
   NodeId coordinator() const { return routes_.node_of(coor_shard_); }
   NodeId server_of(ObjectId obj) const { return routes_.node_of(place_.shard_of(obj)); }
 
-  /// get-tag-arr marking `objs` as the READ's objects.
-  GetTagArrReq tag_arr_req(const std::vector<ObjectId>& objs) const {
-    GetTagArrReq req;
-    req.want.assign(place_.num_objects(), 0);
-    for (ObjectId obj : objs) req.want[obj] = 1;
-    return req;
+  /// get-tag-arr naming `objs` as the READ's objects.
+  static GetTagArrReq tag_arr_req(const std::vector<ObjectId>& objs) {
+    return GetTagArrReq{object_set(objs)};
   }
 
   /// Pairs each of the READ's objects `objs` with its tag-array entry.  The
-  /// coordinator sends entries (latest, history) only for the objects set in
-  /// the get-tag-arr `want`, in ascending object order, so entry i belongs
+  /// coordinator sends entries (latest, history) only for the objects in the
+  /// get-tag-arr `want`, in ascending object order, so entry i belongs
   /// to the i-th smallest object.  `objs` must be distinct.
   template <typename T>
   static std::map<ObjectId, T> by_object(const std::vector<ObjectId>& objs,

@@ -39,7 +39,7 @@ class CoorWriter final : public Node, public WriteClientApi {
  public:
   CoorWriter(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard,
              bool send_finalize, bool replicated = false)
-      : rec_(rec), place_(place), k_(place.num_objects()), coor_shard_(coor_shard),
+      : rec_(rec), place_(place), coor_shard_(coor_shard),
         send_finalize_(send_finalize), replicated_(replicated), routes_(place.num_servers()) {}
 
   void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) override {
@@ -50,14 +50,15 @@ class CoorWriter final : public Node, public WriteClientApi {
     pending_->txn = txn;
     pending_->key = WriteKey{++z_, id()};
     pending_->writes = writes;
-    pending_->mask.assign(k_, 0);
     pending_->cb = std::move(cb);
+    std::vector<ObjectId> objs;
     for (const auto& [obj, value] : writes) {
-      pending_->mask[obj] = 1;
+      objs.push_back(obj);
       pending_->unacked.insert(obj);
       send(routes_.node_of(place_.shard_of(obj)),
            Message{txn, WriteValReq{pending_->key, obj, value}});
     }
+    pending_->mask = object_set(std::move(objs));
   }
 
   NodeId node_id() const override { return id(); }
@@ -110,7 +111,7 @@ class CoorWriter final : public Node, public WriteClientApi {
     TxnId txn{kInvalidTxn};
     WriteKey key;
     std::vector<std::pair<ObjectId, Value>> writes;
-    std::vector<std::uint8_t> mask;
+    std::vector<ObjectId> mask;  ///< the update-coor object set.
     std::set<ObjectId> unacked;  ///< objects whose write-val ack is still owed.
     bool coor_sent{false};       ///< phase two: update-coor is in flight.
     WriteCallback cb;
@@ -134,7 +135,6 @@ class CoorWriter final : public Node, public WriteClientApi {
 
   HistoryRecorder& rec_;
   Placement place_;
-  std::size_t k_;
   std::size_t coor_shard_;
   bool send_finalize_;
   bool replicated_;

@@ -4,8 +4,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "common/assert.hpp"
 #include "msg/codec.hpp"
@@ -112,14 +115,19 @@ std::vector<std::uint8_t> wal_frame_batch(const ReplAppendReq& batch) {
 WalReplayResult wal_replay(const std::vector<std::uint8_t>& bytes) {
   WalReplayResult out;
   if (bytes.empty()) return out;
-  static_assert(sizeof(kWalMagicV1) == sizeof(kWalMagic));
-  if (bytes.size() >= kWalMagicLen && std::memcmp(bytes.data(), kWalMagicV1, kWalMagicLen) == 0) {
-    throw std::invalid_argument(
-        "WAL is snowkit-wal-v1 (wire-v1 dense masks); this build reads only snowkit-wal-v2");
-  }
   if (bytes.size() < kWalMagicLen ||
       std::memcmp(bytes.data(), kWalMagic, kWalMagicLen) != 0) {
-    throw std::invalid_argument("WAL head is not the snowkit-wal-v2 magic");
+    // Another version's head line is refused by its name: its batches use
+    // another wire encoding, so replaying them would misread the lineage.
+    const std::string ours(kWalMagic, kWalMagicLen - 1);
+    const std::string_view head(reinterpret_cast<const char*>(bytes.data()),
+                                std::min<std::size_t>(bytes.size(), 32));
+    const std::size_t nl = head.find('\n');
+    if (head.starts_with("snowkit-wal-v") && nl != std::string_view::npos) {
+      throw std::invalid_argument("WAL is " + std::string(head.substr(0, nl)) +
+                                  "; this build reads only " + ours);
+    }
+    throw std::invalid_argument("WAL head is not the " + ours + " magic");
   }
   out.fresh = false;
   std::size_t off = kWalMagicLen;

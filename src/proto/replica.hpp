@@ -43,10 +43,10 @@
 // simulator's detector is exact, so recorded schedules never hit this; the
 // net failover smoke kills processes for real.
 //
-// WAL format (`snowkit-wal-v2`): the magic line, then length-prefixed
+// WAL format (`snowkit-wal-v3`): the magic line, then length-prefixed
 // batches [u32le len][encode_message(ReplAppendReq)][u64le FNV-1a(payload)].
-// The batches are wire-v2 messages (sparse kListPush masks); a
-// `snowkit-wal-v1` file holds dense-mask batches and is refused by name.
+// The batches are wire-v3 messages; a file of any other `snowkit-wal-vN`
+// holds batches of another wire encoding and is refused by name.
 // Any malformed, checksum-failing, short, or non-contiguous trailing batch
 // is a torn tail: replay recovers the preceding prefix and stops.  Epoch and
 // role changes are persisted as local-only kEpoch records that never ship
@@ -72,10 +72,8 @@ namespace snowkit {
 
 // --- write-ahead log storage -------------------------------------------------
 
-inline constexpr char kWalMagic[] = "snowkit-wal-v2\n";
+inline constexpr char kWalMagic[] = "snowkit-wal-v3\n";
 inline constexpr std::size_t kWalMagicLen = sizeof(kWalMagic) - 1;
-/// The retired wire-v1 WAL head, recognized only to name it in the error.
-inline constexpr char kWalMagicV1[] = "snowkit-wal-v1\n";
 
 /// Durable append-only byte storage for one replica's WAL.
 class WalStorage {

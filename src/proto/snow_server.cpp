@@ -6,56 +6,60 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/buffer.hpp"
 
 namespace snowkit {
 
 /// Per-object write-rate tracker: decay the credit by exp(-dt/tau), add 1
-/// per masked object, flip the mode with hysteresis.  Runs on the primary at
+/// per written object, flip the mode with hysteresis.  Runs on the primary at
 /// update-coor time, so it observes exactly the listing traffic; it reads
 /// only Runtime::now_ns (virtual in the sim), so replayed schedules
-/// re-derive identical switch sequences.
+/// re-derive identical switch sequences.  The C-mode objects are kept as the
+/// sorted id list a tag array carries, updated only on the rare flips.
 class SnowServer::ModeTracker {
  public:
   ModeTracker(std::size_t k, const ModeTrackerConfig& cfg) : k_(k), cfg_(cfg) { reset(); }
 
   void reset() {
-    modes_.assign(k_, 0);
+    c_mode_.clear();
     credit_.assign(k_, 0.0);
     last_.assign(k_, 0);
     epoch_ = 0;
   }
 
-  void observe_write(Runtime& rt, const std::vector<std::uint8_t>& mask) {
+  void observe_write(Runtime& rt, const std::vector<ObjectId>& objs) {
     const TimeNs now = rt.now_ns();
-    for_each_mask_bit(mask, [&](std::size_t i) {
-      if (i >= k_) return;
-      double& credit = credit_[i];
-      if (now > last_[i]) {
-        credit *= std::exp(-static_cast<double>(now - last_[i]) /
+    for (ObjectId obj : objs) {
+      if (obj >= k_) continue;  // names no object
+      double& credit = credit_[obj];
+      if (now > last_[obj]) {
+        credit *= std::exp(-static_cast<double>(now - last_[obj]) /
                            static_cast<double>(cfg_.ewma_tau_ns));
       }
       credit += 1.0;
-      last_[i] = now;
-      const std::uint8_t want = modes_[i] == 0 ? (credit >= cfg_.switch_up ? 1 : 0)
-                                               : (credit <= cfg_.switch_down ? 0 : 1);
-      if (want != modes_[i]) {
-        modes_[i] = want;
-        ++epoch_;
-        ++switches_;
-        rt.note_switch(static_cast<ObjectId>(i), want);
+      last_[obj] = now;
+      const auto it = std::lower_bound(c_mode_.begin(), c_mode_.end(), obj);
+      const bool is_c = it != c_mode_.end() && *it == obj;
+      const bool want_c = is_c ? credit > cfg_.switch_down : credit >= cfg_.switch_up;
+      if (want_c == is_c) continue;
+      if (want_c) {
+        c_mode_.insert(it, obj);
+      } else {
+        c_mode_.erase(it);
       }
-    });
+      ++epoch_;
+      ++switches_;
+      rt.note_switch(obj, want_c ? 1 : 0);
+    }
   }
 
-  const std::vector<std::uint8_t>& modes() const { return modes_; }
+  const std::vector<ObjectId>& modes() const { return c_mode_; }
   std::uint64_t epoch() const { return epoch_; }
   std::uint64_t switches() const { return switches_; }
 
  private:
   std::size_t k_;
   ModeTrackerConfig cfg_;
-  std::vector<std::uint8_t> modes_;
+  std::vector<ObjectId> c_mode_;  ///< objects in C-mode, ascending.
   std::vector<double> credit_;
   std::vector<TimeNs> last_;
   std::uint64_t epoch_{0};
@@ -233,22 +237,20 @@ void SnowServer::send_tag_arr(NodeId from, TxnId txn, const GetTagArrReq& req) {
   // t_r is the newest List position overall, so a READ never orders before
   // a WRITE that already completed (Lemma 20 P2); the per-object version
   // choice uses each object's newest entry.  Entries cover only the READ's
-  // objects (the set bits of `want`, ascending), so the array costs O(span)
-  // however many objects the system has.  Bits beyond k name no object and
-  // are skipped.
+  // objects (`want`, ascending), so the array costs O(span) however many
+  // objects the system has.  Ids >= k name no object and are skipped.
   const std::size_t k = cfg_.num_objects;
   const bool with_history = cfg_.shape == TagArrShape::kWithHistory;
   std::vector<WriteKey> latest;
   std::vector<std::vector<ListedKey>> history;
-  for_each_mask_bit(req.want, [&](std::size_t i) {
-    if (i >= k) return;
-    const auto obj = static_cast<ObjectId>(i);
+  for (ObjectId obj : req.want) {
+    if (obj >= k) continue;
     latest.push_back(list_->latest(obj));
     // The live history of each wanted object: its anchor entry plus
     // everything above the watermark — all a READ registered at or after
     // this instant can legally resolve against.
     if (with_history) history.push_back(list_->history_vec(obj));
-  });
+  }
 
   if (cfg_.shape == TagArrShape::kModes) {
     AdaptTagArrResp resp;

@@ -48,7 +48,7 @@ namespace snowkit {
 enum class TagArrShape : std::uint8_t {
   kLatest,       ///< GetTagArrResp: t_r, watermark, latest[] (algo-b, occ-reads).
   kWithHistory,  ///< ... plus the live List history of each wanted object (algo-c).
-  kModes,        ///< AdaptTagArrResp: latest[] plus the fetch-mode table (adaptive).
+  kModes,        ///< AdaptTagArrResp: latest[] plus the C-mode objects (adaptive).
 };
 
 /// Hysteresis band and decay of the adaptive coordinator's write-rate

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/buffer.hpp"
 #include "metrics/gc_stats.hpp"
 
 namespace snowkit {
@@ -88,14 +87,14 @@ CoorList::CoorList(std::size_t num_objects) : k_(num_objects) {
   for (auto& h : history_) h.push_back(ListedKey{0, kInitialKey});
 }
 
-Tag CoorList::push(const WriteKey& key, const std::vector<std::uint8_t>& mask) {
-  SNOW_CHECK(mask.size() == k_);
+Tag CoorList::push(const WriteKey& key, const std::vector<ObjectId>& objs) {
   const Tag pos = count_++;
-  for_each_mask_bit(mask, [&](std::size_t i) {
-    history_[i].push_back(ListedKey{pos, key});
-    latest_[i] = key;
-    if (max_finalized_ != 0) pushes_.emplace_back(pos, static_cast<ObjectId>(i));  // see finalize
-  });
+  for (ObjectId obj : objs) {
+    if (obj >= k_) continue;  // names no object
+    history_[obj].push_back(ListedKey{pos, key});
+    latest_[obj] = key;
+    if (max_finalized_ != 0) pushes_.emplace_back(pos, obj);  // see finalize
+  }
   return pos;
 }
 

@@ -9,7 +9,7 @@
 //    watermark.  The initial version (kappa_0, v0) is present from the start
 //    and finalized at List position 0.
 //
-//  * CoorList — the coordinator's List of (kappa, b_1..b_k) WRITE masks
+//  * CoorList — the coordinator's List of (kappa, b_1..b_k) WRITE entries
 //    (Pseudocode 6), kept as incrementally-maintained per-object key
 //    histories plus the read-watermark bookkeeping: the max finalized
 //    position and the floors of in-flight READs.
@@ -132,9 +132,10 @@ class CoorList {
  public:
   explicit CoorList(std::size_t num_objects);
 
-  /// Appends a List entry; returns its position.  `mask` is the b_1..b_k
-  /// write mask.
-  Tag push(const WriteKey& key, const std::vector<std::uint8_t>& mask);
+  /// Appends a List entry; returns its position.  `objs` is the WRITE's
+  /// object set (the b_i = 1 of b_1..b_k); ids >= k name no object and are
+  /// skipped.
+  Tag push(const WriteKey& key, const std::vector<ObjectId>& objs);
 
   /// Newest position handed out (Lemma-20 P2's t_r).
   Tag tag() const { return count_ - 1; }

@@ -55,7 +55,7 @@ ScriptedRun run_scripted(const std::vector<std::pair<NodeId, NodeId>>& pre_r1_re
   HistoryRecorder rec(2);
   AlgoAOptions opts;
   opts.allow_multiple_readers = true;
-  auto sys = build_algo_a(sim, rec, Topology{2, 2, 1}, opts);
+  auto sys = build_algo_a(sim, rec, SystemConfig{2, 2, 1}, opts);
   sim.start();
 
   // Hold r1's info-reader (the pivotal a_{k*+1}) and all read traffic.

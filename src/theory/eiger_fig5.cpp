@@ -12,7 +12,7 @@ Fig5Result run_eiger_fig5() {
   Fig5Result out;
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_eiger(sim, rec, Topology{2, /*readers=*/1, /*writers=*/2});
+  auto sys = build_eiger(sim, rec, SystemConfig{2, /*readers=*/1, /*writers=*/2});
   sim.start();
   const ObjectId A = 0;
   const ObjectId B = 1;

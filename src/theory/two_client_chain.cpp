@@ -40,7 +40,7 @@ struct DescentRun {
 DescentRun run_descent(int k) {
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_naive(sim, rec, Topology{2, 1, 1});
+  auto sys = build_naive(sim, rec, SystemConfig{2, 1, 1});
   sim.start();
   // Hold all READ traffic; W's messages flow normally but we step them.
   sim.hold_matching(script::any_of(
@@ -94,7 +94,7 @@ TwoClientChainResult run_two_client_chain() {
   {
     SimRuntime sim;
     HistoryRecorder rec(2);
-    auto sys = build_naive(sim, rec, Topology{2, 1, 1});
+    auto sys = build_naive(sim, rec, SystemConfig{2, 1, 1});
     sim.start();
     bool w_done = false;
     invoke_write(sim, sys->writer(0), {{0, kX1}, {1, kY1}},
@@ -124,7 +124,7 @@ TwoClientChainResult run_two_client_chain() {
   {
     SimRuntime sim;
     HistoryRecorder rec(2);
-    auto sys = build_naive(sim, rec, Topology{2, 1, 1});
+    auto sys = build_naive(sim, rec, SystemConfig{2, 1, 1});
     sim.start();
     sim.hold_matching(script::payload_is("simple-read"));
     ReadResult r_result;

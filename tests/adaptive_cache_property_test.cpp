@@ -29,7 +29,7 @@ struct Rig {
   explicit Rig(std::size_t k, std::size_t readers = 1, std::size_t writers = 1,
                std::uint64_t seed = 1, AdaptiveOptions opts = {})
       : sim(make_uniform_delay(10, 5000, seed)), rec(k) {
-    sys = build_adaptive(sim, rec, Topology{k, readers, writers}, opts);
+    sys = build_adaptive(sim, rec, SystemConfig{k, readers, writers}, opts);
     adaptive = dynamic_cast<AdaptiveSystem*>(sys.get());
   }
 };
@@ -68,7 +68,7 @@ TEST(AdaptiveCacheProperty, CountersReconcileExactlyWithIssuedReadRounds) {
     spec.read_span = 2;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+    WorkloadDriver driver(rig.sim, *rig.sys, spec);
     driver.start();
     rig.sim.run_until_idle();
     ASSERT_TRUE(driver.done()) << "seed " << seed;
@@ -155,7 +155,7 @@ TEST(AdaptiveCacheProperty, ReconciliationAlsoHoldsWithTheCacheDisabled) {
   spec.ops_per_writer = 15;
   spec.read_span = 2;
   spec.seed = 7;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   rig.sim.run_until_idle();
   ASSERT_TRUE(driver.done());

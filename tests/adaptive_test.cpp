@@ -26,7 +26,7 @@ struct Rig {
   explicit Rig(std::size_t k, std::size_t readers = 1, std::size_t writers = 1,
                std::uint64_t seed = 1, AdaptiveOptions opts = {})
       : sim(make_uniform_delay(10, 5000, seed)), rec(k) {
-    sys = build_adaptive(sim, rec, Topology{k, readers, writers}, opts);
+    sys = build_adaptive(sim, rec, SystemConfig{k, readers, writers}, opts);
     adaptive = dynamic_cast<AdaptiveSystem*>(sys.get());
   }
 };
@@ -136,7 +136,7 @@ TEST(Adaptive, StrictSerializabilityUnderClosedLoopWorkload) {
     spec.read_span = 2;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+    WorkloadDriver driver(rig.sim, *rig.sys, spec);
     driver.start();
     rig.sim.run_until_idle();
     EXPECT_TRUE(driver.done());
@@ -162,7 +162,7 @@ TEST(Adaptive, RegistryBuildsItWithZeroProtocolSpecificCode) {
   opts.set("switch_up", "6.0");
   opts.set("switch_down", "2.0");
   opts.set("ewma_tau_ms", 100);
-  auto sys = ProtocolRegistry::global().build("adaptive", sim, rec, Topology{2, 1, 1}, opts);
+  auto sys = ProtocolRegistry::global().build("adaptive", sim, rec, SystemConfig{2, 1, 1}, opts);
   EXPECT_EQ(sys->name(), "adaptive");
   EXPECT_NE(dynamic_cast<AdaptiveSystem*>(sys.get()), nullptr);
 }
@@ -173,13 +173,13 @@ TEST(Adaptive, OptionsValidateFailFast) {
   AdaptiveOptions opts;
   opts.switch_up = 1.0;
   opts.switch_down = 1.0;  // no hysteresis band
-  EXPECT_THROW(build_adaptive(sim, rec, Topology{2, 1, 1}, opts), std::invalid_argument);
+  EXPECT_THROW(build_adaptive(sim, rec, SystemConfig{2, 1, 1}, opts), std::invalid_argument);
   opts = {};
   opts.ewma_tau_ns = 0;
-  EXPECT_THROW(build_adaptive(sim, rec, Topology{2, 1, 1}, opts), std::invalid_argument);
+  EXPECT_THROW(build_adaptive(sim, rec, SystemConfig{2, 1, 1}, opts), std::invalid_argument);
   opts = {};
   opts.replicas = 3;
-  EXPECT_THROW(build_adaptive(sim, rec, Topology{2, 1, 1}, opts), std::invalid_argument);
+  EXPECT_THROW(build_adaptive(sim, rec, SystemConfig{2, 1, 1}, opts), std::invalid_argument);
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ struct Rig {
 
   Rig(std::size_t k, std::size_t writers, std::uint64_t seed = 1)
       : sim(make_uniform_delay(10, 5000, seed)), rec(k) {
-    sys = build_algo_a(sim, rec, Topology{k, 1, writers});
+    sys = build_algo_a(sim, rec, SystemConfig{k, 1, writers});
   }
 };
 
@@ -66,7 +66,7 @@ TEST(AlgoA, ConcurrentReadIsSnapshotOfList) {
   // fractured mix), even though both servers already store the new values.
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_algo_a(sim, rec, Topology{2, 1, 1});
+  auto sys = build_algo_a(sim, rec, SystemConfig{2, 1, 1});
   sim.start();
   sim.hold_matching(script::payload_is("info-reader"));
   bool w_done = false;
@@ -96,7 +96,7 @@ TEST(AlgoA, TagOrderHoldsUnderRandomWorkload) {
     spec.read_span = 3;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+    WorkloadDriver driver(rig.sim, *rig.sys, spec);
     driver.start();
     rig.sim.run_until_idle();
     ASSERT_TRUE(driver.done());
@@ -112,7 +112,7 @@ TEST(AlgoA, SnowPropertiesHoldOnTrace) {
   spec.ops_per_reader = 30;
   spec.ops_per_writer = 10;
   spec.read_span = 2;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   rig.sim.run_until_idle();
   const History h = rig.rec.snapshot();
@@ -129,7 +129,7 @@ TEST(AlgoA, WritesEventuallyCompleteUnderConcurrency) {
   WorkloadSpec spec;
   spec.ops_per_reader = 20;
   spec.ops_per_writer = 20;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   rig.sim.run_until_idle();
   const History h = rig.rec.snapshot();
@@ -139,7 +139,7 @@ TEST(AlgoA, WritesEventuallyCompleteUnderConcurrency) {
 TEST(AlgoA, RefusesMultipleReadersByDefault) {
   SimRuntime sim;
   HistoryRecorder rec(2);
-  EXPECT_DEATH(build_algo_a(sim, rec, Topology{2, 2, 1}), "MWSR");
+  EXPECT_DEATH(build_algo_a(sim, rec, SystemConfig{2, 2, 1}), "MWSR");
 }
 
 TEST(AlgoA, MultiReaderDemoViolatesS) {
@@ -149,7 +149,7 @@ TEST(AlgoA, MultiReaderDemoViolatesS) {
   HistoryRecorder rec(2);
   AlgoAOptions opts;
   opts.allow_multiple_readers = true;
-  auto sys = build_algo_a(sim, rec, Topology{2, 2, 1}, opts);
+  auto sys = build_algo_a(sim, rec, SystemConfig{2, 2, 1}, opts);
   sim.start();
   const NodeId r2_node = sys->reader(1).node_id();
   sim.hold_matching(script::all_of({script::payload_is("info-reader"), script::to_node(r2_node)}));

@@ -22,7 +22,7 @@ struct Rig {
       : sim(make_uniform_delay(10, 5000, seed)), rec(k) {
     AlgoBOptions opts;
     opts.coordinator = coor;
-    sys = build_algo_b(sim, rec, Topology{k, readers, writers}, opts);
+    sys = build_algo_b(sim, rec, SystemConfig{k, readers, writers}, opts);
   }
 };
 
@@ -44,7 +44,7 @@ TEST(AlgoB, ExactlyTwoRoundsOneVersion) {
   spec.ops_per_reader = 25;
   spec.ops_per_writer = 10;
   spec.read_span = 3;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   rig.sim.run_until_idle();
   const History h = rig.rec.snapshot();
@@ -65,7 +65,7 @@ TEST(AlgoB, StrictSerializabilityUnderManyWritersAndReaders) {
     spec.read_span = 2;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+    WorkloadDriver driver(rig.sim, *rig.sys, spec);
     driver.start();
     rig.sim.run_until_idle();
     auto verdict = check_tag_order(rig.rec.snapshot());
@@ -81,7 +81,7 @@ TEST(AlgoB, VersionRequestedIsAlwaysPresent) {
   WorkloadSpec spec;
   spec.ops_per_reader = 80;
   spec.ops_per_writer = 40;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   rig.sim.run_until_idle();  // VersionStore::get aborts if a key were missing
   EXPECT_TRUE(driver.done());
@@ -105,7 +105,7 @@ TEST(AlgoB, ReadConcurrentWithWriteGetsConsistentCut) {
   // but the coordinator's List does not — a READ must return the old cut.
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_algo_b(sim, rec, Topology{2, 1, 1});
+  auto sys = build_algo_b(sim, rec, SystemConfig{2, 1, 1});
   sim.start();
   sim.hold_matching(script::payload_is("update-coor"));
   bool w_done = false;

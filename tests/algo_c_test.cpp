@@ -23,7 +23,7 @@ struct Rig {
       : sim(make_uniform_delay(10, 5000, seed)), rec(k) {
     AlgoCOptions opts;
     opts.gc_versions = gc;
-    sys = build_algo_c(sim, rec, Topology{k, readers, writers}, opts);
+    sys = build_algo_c(sim, rec, SystemConfig{k, readers, writers}, opts);
   }
 };
 
@@ -45,7 +45,7 @@ TEST(AlgoC, OneRoundMultipleVersions) {
   spec.ops_per_reader = 30;
   spec.ops_per_writer = 20;
   spec.read_span = 2;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   rig.sim.run_until_idle();
   const History h = rig.rec.snapshot();
@@ -65,7 +65,7 @@ TEST(AlgoC, StrictSerializabilityUnderManyWritersAndReaders) {
     spec.read_span = 3;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+    WorkloadDriver driver(rig.sim, *rig.sys, spec);
     driver.start();
     rig.sim.run_until_idle();
     auto verdict = check_tag_order(rig.rec.snapshot());
@@ -82,7 +82,7 @@ TEST(AlgoC, DescentHandlesOvertakingReadVals) {
   HistoryRecorder rec(2);
   AlgoCOptions opts;
   opts.gc_versions = false;  // GC-off: the descent must SETTLE (no retry path)
-  auto sys = build_algo_c(sim, rec, Topology{2, 1, 1}, opts);
+  auto sys = build_algo_c(sim, rec, SystemConfig{2, 1, 1}, opts);
   sim.start();
 
   // Script: hold W's write-val to s_y (object 1) and the READ's messages.
@@ -137,13 +137,13 @@ TEST(AlgoC, GcBoundsResponseSizes) {
     HistoryRecorder rec(2);
     AlgoCOptions opts;
     opts.gc_versions = gc;
-    auto sys = build_algo_c(sim, rec, Topology{2, 1, 2}, opts);
+    auto sys = build_algo_c(sim, rec, SystemConfig{2, 1, 2}, opts);
     WorkloadSpec spec;
     spec.ops_per_reader = 40;
     spec.ops_per_writer = 40;
     spec.read_span = 2;
     spec.write_span = 2;
-    ClosedLoopDriver driver(sim, *sys, spec);
+    WorkloadDriver driver(sim, *sys, spec);
     driver.start();
     sim.run_until_idle();
     auto verdict = check_tag_order(rec.snapshot());
@@ -164,7 +164,7 @@ TEST(AlgoC, GcPreservesStrictSerializabilityAcrossSeeds) {
     spec.ops_per_writer = 20;
     spec.read_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+    WorkloadDriver driver(rig.sim, *rig.sys, spec);
     driver.start();
     rig.sim.run_until_idle();
     auto verdict = check_tag_order(rig.rec.snapshot());

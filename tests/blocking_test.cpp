@@ -15,7 +15,7 @@ namespace {
 TEST(Blocking, WriteThenRead) {
   SimRuntime sim;
   HistoryRecorder rec(3);
-  auto sys = build_blocking(sim, rec, Topology{3, 1, 1});
+  auto sys = build_blocking(sim, rec, SystemConfig{3, 1, 1});
   invoke_write(sim, sys->writer(0), {{0, 1}, {2, 3}}, [](const WriteResult&) {});
   sim.run_until_idle();
   ReadResult result;
@@ -30,14 +30,14 @@ TEST(Blocking, StrictlySerializableUnderContention) {
   for (std::uint64_t seed : {41ull, 42ull, 43ull}) {
     SimRuntime sim(make_uniform_delay(10, 4000, seed));
     HistoryRecorder rec(3);
-    auto sys = build_blocking(sim, rec, Topology{3, 2, 2});
+    auto sys = build_blocking(sim, rec, SystemConfig{3, 2, 2});
     WorkloadSpec spec;
     spec.ops_per_reader = 15;
     spec.ops_per_writer = 10;
     spec.read_span = 2;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(sim, *sys, spec);
+    WorkloadDriver driver(sim, *sys, spec);
     driver.start();
     sim.run_until_idle();
     ASSERT_TRUE(driver.done()) << "deadlock at seed " << seed;
@@ -51,7 +51,7 @@ TEST(Blocking, ReaderBlocksBehindWriterLock) {
   // lock request must wait — the N property fails, observably in the trace.
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_blocking(sim, rec, Topology{2, 1, 1});
+  auto sys = build_blocking(sim, rec, SystemConfig{2, 1, 1});
   sim.start();
   sim.hold_matching(script::payload_is("write-unlock"));
   bool w_done = false;
@@ -85,7 +85,7 @@ TEST(Blocking, ReaderBlocksBehindWriterLock) {
 TEST(Blocking, RoundsGrowWithReadSpan) {
   SimRuntime sim;
   HistoryRecorder rec(4);
-  auto sys = build_blocking(sim, rec, Topology{4, 1, 0});
+  auto sys = build_blocking(sim, rec, SystemConfig{4, 1, 0});
   ReadResult result;
   invoke_read(sim, sys->reader(0), {0, 1, 2, 3}, [&](const ReadResult& r) { result = r; });
   sim.run_until_idle();
@@ -99,7 +99,7 @@ TEST(Blocking, NoDeadlockWithOpposingAccessOrders) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     SimRuntime sim(make_uniform_delay(10, 2000, seed));
     HistoryRecorder rec(2);
-    auto sys = build_blocking(sim, rec, Topology{2, 1, 1});
+    auto sys = build_blocking(sim, rec, SystemConfig{2, 1, 1});
     bool r_done = false;
     bool w_done = false;
     invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult&) { r_done = true; });

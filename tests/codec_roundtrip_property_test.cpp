@@ -21,16 +21,19 @@ bool rbool(Xoshiro256& rng) { return (rng.next() & 1) != 0; }
 
 WriteKey rkey(Xoshiro256& rng) { return WriteKey{ru64(rng), ru32(rng)}; }
 
-// Interest masks are 0/1 by contract (the codec bit-packs them).
-/// Lengths from empty to past one 4096-object system, densities from no
-/// bits (a one-in-n chance per element) through half to all set, so the
-/// sparse mask's delta coding sees runs, long gaps and both ends.
-std::vector<std::uint8_t> rmask(Xoshiro256& rng) {
+/// An object set (ascending, distinct ids) over a universe from empty to
+/// past one 4096-object system, densities from no members (a one-in-n chance
+/// per id) through half to all, so the delta coding sees runs, long gaps and
+/// both ends.
+std::vector<ObjectId> rmask(Xoshiro256& rng) {
   static constexpr std::size_t kLengths[] = {0, 1, 7, 8, 9, 64, 200, 4096, 5000};
-  std::vector<std::uint8_t> mask(rng.chance(0.5) ? rng.below(20) : kLengths[rng.below(9)]);
-  const std::uint64_t one_in = rng.chance(0.2) ? 1 : 1 + rng.below(mask.size() + 1);
-  for (auto& b : mask) b = rng.below(one_in) == 0 ? 1 : 0;
-  return mask;
+  const std::size_t n = rng.chance(0.5) ? rng.below(20) : kLengths[rng.below(9)];
+  const std::uint64_t one_in = rng.chance(0.2) ? 1 : 1 + rng.below(n + 1);
+  std::vector<ObjectId> ids;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.below(one_in) == 0) ids.push_back(static_cast<ObjectId>(i));
+  }
+  return ids;
 }
 
 Version rversion(Xoshiro256& rng) { return Version{rkey(rng), ri64(rng)}; }

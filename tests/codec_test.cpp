@@ -34,17 +34,17 @@ TEST(Codec, WriteVal) {
 TEST(Codec, WriteValAck) { roundtrip(WriteValAck{WriteKey{1, 2}, 0}); }
 
 TEST(Codec, InfoReader) {
-  Message m{5, InfoReaderReq{WriteKey{8, 1}, {1, 0, 1}}};
+  Message m{5, InfoReaderReq{WriteKey{8, 1}, {0, 2}}};
   const Message back = decode_message(encode_message(m));
   const auto& p = std::get<InfoReaderReq>(back.payload);
   EXPECT_EQ(p.key, (WriteKey{8, 1}));
-  EXPECT_EQ(p.mask, (std::vector<std::uint8_t>{1, 0, 1}));
+  EXPECT_EQ(p.mask, (std::vector<ObjectId>{0, 2}));
 }
 
 TEST(Codec, InfoReaderAck) { roundtrip(InfoReaderAck{99}); }
-TEST(Codec, UpdateCoor) { roundtrip(UpdateCoorReq{WriteKey{2, 3}, {0, 1}}); }
+TEST(Codec, UpdateCoor) { roundtrip(UpdateCoorReq{WriteKey{2, 3}, {1}}); }
 TEST(Codec, UpdateCoorAck) { roundtrip(UpdateCoorAck{12}); }
-TEST(Codec, GetTagArr) { roundtrip(GetTagArrReq{{1, 1, 0}}); }
+TEST(Codec, GetTagArr) { roundtrip(GetTagArrReq{{0, 1}}); }
 
 TEST(Codec, GetTagArrRespWithHistory) {
   GetTagArrResp resp;
@@ -138,24 +138,28 @@ TEST(Codec, TryDecodeRejectsMalformedBytes) {
   EXPECT_TRUE(try_decode_message(full, out, err)) << err;
 }
 
-// --- sparse masks (docs/WIRE.md `mask(n)`) ---------------------------------
+// --- object sets (docs/WIRE.md `ids`) --------------------------------------
 
-std::vector<std::uint8_t> mask_with(std::size_t n, std::initializer_list<std::size_t> bits) {
-  std::vector<std::uint8_t> m(n, 0);
-  for (std::size_t b : bits) m.at(b) = 1;
-  return m;
+/// Every n-th id below `universe`, ascending.
+std::vector<ObjectId> every(std::size_t universe, std::size_t n) {
+  std::vector<ObjectId> ids;
+  for (std::size_t i = 0; i < universe; i += n) ids.push_back(static_cast<ObjectId>(i));
+  return ids;
 }
 
 TEST(Codec, SparseMaskRoundTripsAtEveryLengthAndDensity) {
+  constexpr ObjectId kTop = std::numeric_limits<ObjectId>::max();
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{64}, std::size_t{4096}}) {
-    std::vector<std::vector<std::uint8_t>> masks{std::vector<std::uint8_t>(n, 0),
-                                                 std::vector<std::uint8_t>(n, 1)};
-    if (n > 0) masks.push_back(mask_with(n, {n - 1}));
-    if (n >= 64) masks.push_back(mask_with(n, {0, 7, 8, n / 2, n - 1}));  // a span's worth
-    for (const auto& mask : masks) {
-      for (const Message& m : {Message{3, GetTagArrReq{mask}},
-                               Message{4, UpdateCoorReq{WriteKey{2, 1}, mask}},
-                               Message{5, InfoReaderReq{WriteKey{9, 0}, mask}}}) {
+    std::vector<std::vector<ObjectId>> sets{{}, every(n, 1)};
+    if (n > 0) sets.push_back({static_cast<ObjectId>(n - 1)});
+    if (n >= 64) {
+      sets.push_back({0, 7, 8, static_cast<ObjectId>(n / 2), static_cast<ObjectId>(n - 1)});
+    }
+    sets.push_back({0, kTop});  // the widest delta an ObjectId allows
+    for (const auto& set : sets) {
+      for (const Message& m : {Message{3, GetTagArrReq{set}},
+                               Message{4, UpdateCoorReq{WriteKey{2, 1}, set}},
+                               Message{5, InfoReaderReq{WriteKey{9, 0}, set}}}) {
         const auto bytes = encode_message(m);
         EXPECT_EQ(encoded_size(m), bytes.size()) << "n=" << n;
         EXPECT_EQ(decode_message(bytes), m) << "n=" << n;
@@ -165,13 +169,13 @@ TEST(Codec, SparseMaskRoundTripsAtEveryLengthAndDensity) {
 }
 
 TEST(Codec, SparseMaskCostsItsSetBitsNotItsLength) {
-  // txn + tag + uv(n) + uv(count) + one delta per set bit.
+  // txn + tag + uv(count) + one delta per id, whatever the system's k.
   EXPECT_EQ(encode_message(Message{1, GetTagArrReq{{}}}).size(), 3u);  // empty: uv(0) alone
-  EXPECT_EQ(encode_message(Message{1, GetTagArrReq{mask_with(64, {3, 9})}}).size(), 6u);
-  EXPECT_EQ(encode_message(Message{1, GetTagArrReq{mask_with(4096, {3, 9})}}).size(), 7u);
+  EXPECT_EQ(encode_message(Message{1, GetTagArrReq{{3, 9}}}).size(), 5u);
+  EXPECT_EQ(encode_message(Message{1, GetTagArrReq{{3, 4000}}}).size(), 6u);
 }
 
-/// A get-tag-arr message whose mask field is exactly `fields` (as varints).
+/// A get-tag-arr message whose ids field is exactly `fields` (as varints).
 std::vector<std::uint8_t> get_tag_arr_bytes(std::initializer_list<std::uint64_t> fields) {
   BufWriter w;
   w.uv(7);  // txn
@@ -182,17 +186,17 @@ std::vector<std::uint8_t> get_tag_arr_bytes(std::initializer_list<std::uint64_t>
 
 TEST(Codec, TryDecodeRejectsMalformedMasks) {
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kTop = std::numeric_limits<ObjectId>::max();
   const std::vector<std::pair<const char*, std::vector<std::uint8_t>>> bad{
-      {"n above the cap", get_tag_arr_bytes({kMaxMaskBits + 1, 0})},
-      {"n far above the cap", get_tag_arr_bytes({kMax, 0})},
-      {"count > n", get_tag_arr_bytes({4, 5, 0, 1, 1, 1, 1})},
-      {"repeated index", get_tag_arr_bytes({8, 2, 3, 0})},
-      {"non-ascending index (delta wraps)", get_tag_arr_bytes({8, 2, 5, kMax})},
-      {"first index = n", get_tag_arr_bytes({8, 1, 8})},
-      {"later index >= n", get_tag_arr_bytes({8, 2, 5, 3})},
-      {"count beyond the buffer", get_tag_arr_bytes({kMaxMaskBits, kMaxMaskBits})},
-      {"truncated indices", get_tag_arr_bytes({8, 3, 1, 1})},
-      {"missing count", get_tag_arr_bytes({8})},
+      {"count above the bytes left", get_tag_arr_bytes({3, 1, 1})},
+      {"count far above the bytes left", get_tag_arr_bytes({kMax, 0})},
+      {"repeated id", get_tag_arr_bytes({2, 3, 0})},
+      {"repeated id after others", get_tag_arr_bytes({3, 0, 4, 0})},
+      {"first id overflows ObjectId", get_tag_arr_bytes({1, kTop + 1})},
+      {"running sum overflows ObjectId", get_tag_arr_bytes({2, 5, kTop - 4})},
+      {"delta wraps u64", get_tag_arr_bytes({2, 5, kMax})},
+      {"truncated ids", get_tag_arr_bytes({2, 16384})},
+      {"missing count", get_tag_arr_bytes({})},
   };
   for (const auto& [what, bytes] : bad) {
     Message out;
@@ -200,69 +204,15 @@ TEST(Codec, TryDecodeRejectsMalformedMasks) {
     EXPECT_FALSE(try_decode_message(bytes, out, err)) << what;
     EXPECT_FALSE(err.empty()) << what;
   }
-  // The boundaries themselves are valid.
+  // The boundaries themselves are valid: a first id of 0, the largest
+  // ObjectId, and a count equal to the bytes left.
   Message out;
   std::string err;
-  ASSERT_TRUE(try_decode_message(get_tag_arr_bytes({8, 2, 0, 7}), out, err)) << err;
-  EXPECT_EQ(std::get<GetTagArrReq>(out.payload).want, mask_with(8, {0, 7}));
-  ASSERT_TRUE(try_decode_message(get_tag_arr_bytes({kMaxMaskBits, 1, kMaxMaskBits - 1}), out,
-                                 err))
-      << err;
-  EXPECT_EQ(std::get<GetTagArrReq>(out.payload).want.size(), kMaxMaskBits);
-}
-
-/// A ReplAppendReq (or ReplJoinResp) of `records` kListPush records, each
-/// with an n-element mask that has no set bits: a record is under 20 bytes on
-/// the wire whatever n is, but decodes to n mask bytes.
-std::vector<std::uint8_t> empty_mask_batch(bool join, std::size_t records, std::uint64_t n) {
-  BufWriter w;
-  w.uv(7);  // txn
-  w.u8(static_cast<std::uint8_t>(join ? Payload{ReplJoinResp{}}.index()
-                                      : Payload{ReplAppendReq{}}.index()));
-  w.uv(1);            // epoch
-  if (join) w.u8(0);  // reset
-  w.uv(0);            // first_seq
-  w.uv(records);
-  for (std::size_t i = 0; i < records; ++i) {
-    w.u8(ReplRecord::kListPush);
-    w.uv(0);      // obj
-    w.uv(i + 1);  // key.seq
-    w.uv(1);      // key.writer + 1
-    w.zz(0);      // value
-    w.uv(i + 1);  // position
-    w.uv(0);      // watermark
-    w.uv(n);
-    w.uv(0);      // set-bit count
-    w.uv(i + 1);  // txn
-    w.uv(1);      // writer + 1
-    w.uv(1);      // epoch
-    w.u8(0);      // primary
-  }
-  return w.take();
-}
-
-TEST(Codec, TryDecodeCapsTheMaskElementsOfOneMessage) {
-  constexpr std::size_t kFit = kMaxMaskElemsPerMessage / kMaxMaskBits;
-  for (const bool join : {false, true}) {
-    // One record past the budget, and an 18 KB frame that would otherwise
-    // ask for a GiB: both are refused before the over-budget mask is built.
-    for (const std::size_t records : {kFit + 1, std::size_t{1024}}) {
-      const auto bytes = empty_mask_batch(join, records, kMaxMaskBits);
-      EXPECT_LT(bytes.size(), 20 * records);
-      Message out;
-      std::string err;
-      EXPECT_FALSE(try_decode_message(bytes, out, err)) << join << " " << records;
-      EXPECT_NE(err.find("kMaxMaskElemsPerMessage"), std::string::npos) << err;
-    }
-    // A full-log resend at k = 4096 is far inside the budget.
-    Message out;
-    std::string err;
-    ASSERT_TRUE(try_decode_message(empty_mask_batch(join, 1000, 4096), out, err)) << err;
-    const auto& recs = join ? std::get<ReplJoinResp>(out.payload).records
-                            : std::get<ReplAppendReq>(out.payload).records;
-    ASSERT_EQ(recs.size(), 1000u);
-    EXPECT_EQ(recs.back().mask, std::vector<std::uint8_t>(4096, 0));
-  }
+  ASSERT_TRUE(try_decode_message(get_tag_arr_bytes({2, 0, 7}), out, err)) << err;
+  EXPECT_EQ(std::get<GetTagArrReq>(out.payload).want, (std::vector<ObjectId>{0, 7}));
+  ASSERT_TRUE(try_decode_message(get_tag_arr_bytes({2, 5, kTop - 5}), out, err)) << err;
+  EXPECT_EQ(std::get<GetTagArrReq>(out.payload).want,
+            (std::vector<ObjectId>{5, static_cast<ObjectId>(kTop)}));
 }
 
 }  // namespace

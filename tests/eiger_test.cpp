@@ -16,7 +16,7 @@ namespace {
 TEST(Eiger, BasicWriteRead) {
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_eiger(sim, rec, Topology{2, 1, 1});
+  auto sys = build_eiger(sim, rec, SystemConfig{2, 1, 1});
   invoke_write(sim, sys->writer(0), {{0, 5}, {1, 6}}, [](const WriteResult&) {});
   sim.run_until_idle();
   ReadResult result;
@@ -29,12 +29,12 @@ TEST(Eiger, BasicWriteRead) {
 TEST(Eiger, ReadsAreBoundedAtTwoNonBlockingRounds) {
   SimRuntime sim(make_uniform_delay(10, 5000, 77));
   HistoryRecorder rec(4);
-  auto sys = build_eiger(sim, rec, Topology{4, 2, 2});
+  auto sys = build_eiger(sim, rec, SystemConfig{4, 2, 2});
   WorkloadSpec spec;
   spec.ops_per_reader = 40;
   spec.ops_per_writer = 30;
   spec.read_span = 3;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
   sim.run_until_idle();
   const History h = rec.snapshot();
@@ -50,7 +50,7 @@ TEST(Eiger, SlowPathReReadsAtEffectiveTime) {
   // interleave a write between the READ's two server arrivals.
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_eiger(sim, rec, Topology{2, 1, 1});
+  auto sys = build_eiger(sim, rec, SystemConfig{2, 1, 1});
   sim.start();
   for (int i = 1; i <= 3; ++i) {
     invoke_write(sim, sys->writer(0), {{0, i * 10}}, [](const WriteResult&) {});
@@ -87,7 +87,7 @@ TEST(Eiger, Fig5ViolationScripted) {
   // missing w2 violates strict serializability.
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_eiger(sim, rec, Topology{2, 1, 2});
+  auto sys = build_eiger(sim, rec, SystemConfig{2, 1, 2});
   sim.start();
   const ObjectId A = 0;
   const ObjectId B = 1;
@@ -139,13 +139,13 @@ TEST(Eiger, RandomWorkloadsStayCausallyPlausibleButMayViolateS) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SimRuntime sim(make_uniform_delay(10, 3000, seed));
     HistoryRecorder rec(3);
-    auto sys = build_eiger(sim, rec, Topology{3, 2, 2});
+    auto sys = build_eiger(sim, rec, SystemConfig{3, 2, 2});
     WorkloadSpec spec;
     spec.ops_per_reader = 12;
     spec.ops_per_writer = 6;
     spec.read_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(sim, *sys, spec);
+    WorkloadDriver driver(sim, *sys, spec);
     driver.start();
     sim.run_until_idle();
     auto verdict = check_strict_serializability(rec.snapshot(), CheckOptions{200'000});

@@ -1,4 +1,4 @@
-// snowkit-wire-v2 framing at the byte boundary: encoded frames must survive
+// snowkit-wire-v3 framing at the byte boundary: encoded frames must survive
 // arbitrary TCP segmentation (split at EVERY byte offset and reassembled
 // through the NetRuntime framing decoder), and malformed streams — garbage
 // prefixes, truncations, absurd lengths — must surface as decoder ERRORS,
@@ -18,11 +18,11 @@ using net::FrameDecoder;
 using net::FrameType;
 
 /// A payload corpus spanning the codec's interesting shapes: fixed fields,
-/// sparse masks, delta-coded version lists and nested histories.
+/// object sets, delta-coded version lists and nested histories.
 std::vector<Message> corpus() {
   std::vector<Message> msgs;
   msgs.push_back(Message{7, WriteValReq{WriteKey{3, 1}, 2, -40}});
-  msgs.push_back(Message{8, InfoReaderReq{WriteKey{1, 0}, {1, 0, 1, 1, 0, 0, 1, 0, 1}}});
+  msgs.push_back(Message{8, InfoReaderReq{WriteKey{1, 0}, {0, 2, 3, 6, 8}}});
   msgs.push_back(Message{9, UpdateCoorAck{12, 5}});
   GetTagArrResp tagarr;
   tagarr.tag = 900;
@@ -214,16 +214,16 @@ TEST(FrameRoundtrip, MsgHeaderParsersRejectMalformedBodies) {
   net::HelloBody hello;
   EXPECT_FALSE(net::parse_hello({}, hello, err));
   EXPECT_FALSE(net::parse_hello({0x53, 0x4E, 0x57, 0x4B}, hello, err));  // magic only
-  // Wrong wire versions must be rejected, not silently accepted: a v1 peer
-  // would misread v2's sparse masks, and v3 is not defined yet.
-  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{3}}) {
+  // Wrong wire versions must be rejected, not silently accepted: v1 and v2
+  // peers would misread v3's object sets, and v4 is not defined yet.
+  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}, std::uint8_t{4}}) {
     const std::vector<std::uint8_t> body{0x53, 0x4E, 0x57, 0x4B, version, 0x00};
     err.clear();
     EXPECT_FALSE(net::parse_hello(body, hello, err)) << "version " << int(version);
     EXPECT_NE(err.find("wire version"), std::string::npos);
   }
-  const std::vector<std::uint8_t> v2{0x53, 0x4E, 0x57, 0x4B, 0x02, 0x00};
-  EXPECT_TRUE(net::parse_hello(v2, hello, err)) << err;
+  const std::vector<std::uint8_t> v3{0x53, 0x4E, 0x57, 0x4B, 0x03, 0x00};
+  EXPECT_TRUE(net::parse_hello(v3, hello, err)) << err;
 }
 
 TEST(FrameRoundtrip, FramedCodecBytesMatchEncodeMessage) {

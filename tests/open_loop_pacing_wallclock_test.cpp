@@ -1,0 +1,140 @@
+// Open-loop pacing correctness: absolute deadlines vs coordinated omission,
+// the sharded TrafficModel engine, and pause/resume.
+//
+// The regression pinned here: the pre-fix driver re-armed each arrival timer
+// RELATIVE to "after the previous callback ran", so every nanosecond of
+// callback latency silently stretched the period — a 0.5 ms completion path
+// against a 1 ms interval delivered ~2/3 of the nominal rate and hid the
+// backlog from the sojourn histogram (textbook coordinated omission).  With
+// absolute deadlines (arrival k due at start + k * interval, catch-up on
+// overdue deadlines) the delivered rate stays nominal and lateness is
+// CHARGED to sojourn instead of hidden.
+//
+// These cases measure rates and sojourn on the wall clock, so ctest runs
+// this executable alone (RUN_SERIAL, label "wallclock"): under a parallel
+// suite, other tests' CPU can steal the measurement window.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <chrono>
+#include <thread>
+
+#include "checker/tag_order.hpp"
+#include "core/run_workload.hpp"
+#include "core/system.hpp"
+#include "runtime/thread_runtime.hpp"
+
+namespace snowkit {
+namespace {
+
+// Delivered rate must stay within 10% of nominal even when every arrival's
+// submission path burns half the arrival budget.  Pre-fix, the period was
+// interval + callback (~1.5 ms), the delivered rate ~67% of nominal, and
+// this test fails; with absolute-deadline pacing the catch-up loop absorbs
+// the callback latency (0.5 ms of work per 1 ms of budget leaves headroom).
+//
+// A shared 1-core CI box can steal a large slice of the 150 ms measurement
+// window, so the rate check gets 3 attempts — the pre-fix stretch is
+// SYSTEMATIC (~0.67x nominal on every attempt), so retries keep the
+// regression strict while absorbing transient scheduler noise.
+TEST(OpenLoopPacing, DeliveredRateSurvivesSlowCallback) {
+  const double nominal = 1000.0;  // 1 ms interval.
+  double best = 0.0;
+  for (int attempt = 0; attempt < 3 && best < 0.9 * nominal; ++attempt) {
+    ThreadRuntime rt;
+    HistoryRecorder rec(4);
+    auto sys = build_protocol("algo-b", rt, rec, SystemConfig{4, 2, 2});
+    rt.start();
+    WorkloadSpec spec;
+    spec.seed = 5;
+    DriverOptions opts;
+    opts.mode = ArrivalMode::kOpenLoop;
+    opts.total_ops = 150;
+    opts.arrival_interval_ns = 1'000'000;  // nominal 1000 ops/s.
+    opts.read_fraction = 0.5;
+    opts.after_arrival = [] { std::this_thread::sleep_for(std::chrono::microseconds(500)); };
+    WorkloadDriver driver(rt, *sys, spec, opts);
+    driver.start();
+    driver.wait();
+    rt.stop();
+    ASSERT_TRUE(driver.done());
+    EXPECT_EQ(driver.arrivals_issued(), 150u);
+    const double achieved = driver.achieved_arrival_rate();
+    // The absolute-deadline schedule cannot run AHEAD of nominal on any
+    // attempt, quiet window or not.
+    EXPECT_LE(achieved, 1.1 * nominal);
+    best = std::max(best, achieved);
+  }
+  EXPECT_GE(best, 0.9 * nominal)
+      << "coordinated omission: delivered " << best << " ops/s of " << nominal;
+}
+
+// Sharded engine pacing on wall clock: 4 independent timer chains must
+// deliver the aggregate nominal rate, and every arrival must complete.
+TEST(OpenLoopPacing, ShardedEngineDeliversAggregateRate) {
+  ThreadRuntime rt;
+  HistoryRecorder rec(8);
+  auto sys = build_protocol("algo-b", rt, rec, SystemConfig{8, 4, 4});
+  rt.start();
+  WorkloadSpec spec;
+  spec.seed = 9;
+  DriverOptions opts;
+  opts.mode = ArrivalMode::kOpenLoop;
+  opts.total_ops = 400;
+  opts.arrival_interval_ns = 250'000;  // aggregate nominal 4000 ops/s.
+  TrafficModel model;
+  model.zipf_theta = 0.99;
+  model.permute_ranks = true;
+  model.read_fraction = 0.9;
+  model.logical_clients = 1'000'000;
+  opts.traffic = model;
+  opts.arrival_shards = 4;
+  WorkloadDriver driver(rt, *sys, spec, opts);
+  driver.start();
+  driver.wait();
+  rt.stop();
+  ASSERT_TRUE(driver.done());
+  EXPECT_EQ(driver.arrivals_issued(), 400u);
+  EXPECT_EQ(driver.completed_reads() + driver.completed_writes(), 400u);
+  const double nominal = 1e9 / static_cast<double>(opts.arrival_interval_ns);
+  EXPECT_GE(driver.achieved_arrival_rate(), 0.9 * nominal);
+  EXPECT_EQ(driver.sojourn_latency().count, 400u);
+  const auto verdict = check_tag_order(rec.snapshot());
+  EXPECT_TRUE(verdict.ok) << verdict.explanation;
+}
+
+// pause() must stop issuance, resume() must catch up the missed deadlines,
+// and the outage must be charged to sojourn (deadlines keep accruing).
+TEST(OpenLoopPacing, PauseResumeCatchesUpAndChargesSojourn) {
+  ThreadRuntime rt;
+  HistoryRecorder rec(4);
+  auto sys = build_protocol("algo-b", rt, rec, SystemConfig{4, 2, 2});
+  rt.start();
+  WorkloadSpec spec;
+  spec.seed = 31;
+  DriverOptions opts;
+  opts.mode = ArrivalMode::kOpenLoop;
+  opts.total_ops = 100;
+  opts.arrival_interval_ns = 500'000;
+  opts.read_fraction = 0.5;
+  WorkloadDriver driver(rt, *sys, spec, opts);
+  driver.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  driver.pause();
+  const std::size_t at_pause = driver.arrivals_issued();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Paused: issuance is frozen (the chain idle-polls, at most one tick races
+  // the pause flag).
+  EXPECT_LE(driver.arrivals_issued(), at_pause + 1);
+  driver.resume();
+  driver.wait();
+  rt.stop();
+  ASSERT_TRUE(driver.done());
+  EXPECT_EQ(driver.arrivals_issued(), 100u);
+  // A 20 ms outage against a 0.5 ms interval: the catch-up burst's sojourn
+  // tail must show the outage, not hide it.
+  EXPECT_GE(driver.sojourn_latency().p99_ns, 10'000'000u);
+}
+
+}  // namespace
+}  // namespace snowkit

@@ -34,11 +34,11 @@ struct Rig {
     if (algo_c) {
       AlgoCOptions opts;
       opts.replicas = 2;
-      sys = build_algo_c(sim, rec, Topology{k, readers, writers}, opts);
+      sys = build_algo_c(sim, rec, SystemConfig{k, readers, writers}, opts);
     } else {
       AlgoBOptions opts;
       opts.replicas = 2;
-      sys = build_algo_b(sim, rec, Topology{k, readers, writers}, opts);
+      sys = build_algo_b(sim, rec, SystemConfig{k, readers, writers}, opts);
     }
   }
 };
@@ -56,7 +56,7 @@ TEST(ReplicaFailover, AlgoBReplicatedFleetKeepsTwoRoundsOneVersion) {
   spec.ops_per_reader = 25;
   spec.ops_per_writer = 10;
   spec.read_span = 2;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   rig.sim.run_until_idle();
   EXPECT_TRUE(driver.done());
@@ -75,7 +75,7 @@ TEST(ReplicaFailover, AlgoCReplicatedFleetKeepsOneRound) {
   spec.ops_per_reader = 25;
   spec.ops_per_writer = 10;
   spec.read_span = 2;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   rig.sim.run_until_idle();
   EXPECT_TRUE(driver.done());
@@ -96,7 +96,7 @@ void crash_mid_workload(bool algo_c, std::size_t victim_shard, std::uint64_t see
   spec.read_span = 2;
   spec.write_span = 2;
   spec.seed = seed;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   // Let some transactions commit, then kill the primary with traffic in
   // flight.  Shard 0 is the coordinator, so victim_shard=0 also exercises

@@ -33,7 +33,7 @@ ReplRecord push_rec(std::uint64_t seq, NodeId writer, Tag position, TxnId txn) {
   r.kind = ReplRecord::kListPush;
   r.key = WriteKey{seq, writer};
   r.position = position;
-  r.mask = {1, 0, 1};
+  r.mask = {0, 2};
   r.txn = txn;
   r.writer = writer;
   return r;
@@ -129,15 +129,19 @@ TEST(ReplicaWal, NonMagicHeadThrows) {
 }
 
 TEST(ReplicaWal, V1MagicIsRefusedByName) {
-  // A wire-v1 WAL holds dense-mask batches: replaying them as v2 would read
-  // as a torn tail after the magic and silently drop the lineage.
-  auto bytes = wal_bytes(sample_batches());
-  std::copy(kWalMagicV1, kWalMagicV1 + kWalMagicLen, bytes.begin());
-  try {
-    wal_replay(bytes);
-    FAIL() << "a snowkit-wal-v1 file replayed";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("snowkit-wal-v1"), std::string::npos) << e.what();
+  // An older WAL holds batches of another wire encoding: replaying them
+  // would read as a torn tail after the magic and silently drop the lineage.
+  for (const std::string old : {"snowkit-wal-v1", "snowkit-wal-v2", "snowkit-wal-v10"}) {
+    const std::string head = old + "\n";
+    auto bytes = wal_bytes(sample_batches());
+    bytes.erase(bytes.begin(), bytes.begin() + kWalMagicLen);
+    bytes.insert(bytes.begin(), head.begin(), head.end());
+    try {
+      wal_replay(bytes);
+      FAIL() << "a " << old << " file replayed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("WAL is " + old + ";"), std::string::npos) << e.what();
+    }
   }
 }
 

@@ -20,7 +20,6 @@
 #include <string>
 
 #include "checker/tag_order.hpp"
-#include "common/buffer.hpp"
 #include "core/run_workload.hpp"
 #include "core/system.hpp"
 #include "metrics/wire_stats.hpp"
@@ -113,23 +112,23 @@ TEST_P(ServerGolden, TraceAndWireTotalsArePinned) {
 
 std::vector<GoldenCase> golden_cases() {
   return {
-      {"algo_b", "algo-b", {}, false, 4942753835419980455ull, 8497, 1170},
+      {"algo_b", "algo-b", {}, false, 4942753835419980455ull, 8367, 1170},
       {"algo_b_keep_all", "algo-b", with("gc_versions", "false"), false,
-       3663571121835565165ull, 7819, 1050},
-      {"algo_b_crash", "algo-b", replicated(), true, 14194938596773543763ull, 19870, 1667},
-      {"algo_c", "algo-c", {}, false, 17381692404554326617ull, 11025, 1170},
+       3663571121835565165ull, 7689, 1050},
+      {"algo_b_crash", "algo-b", replicated(), true, 14194938596773543763ull, 19694, 1667},
+      {"algo_c", "algo-c", {}, false, 17381692404554326617ull, 10895, 1170},
       {"algo_c_keep_all", "algo-c", with("gc_versions", "false"), false,
-       4534953353085325870ull, 18849, 1050},
-      {"algo_c_crash", "algo-c", replicated(), true, 12340874317410677664ull, 21900, 1673},
-      {"adaptive", "adaptive", {}, false, 9956786984108163812ull, 9478, 1024},
+       4534953353085325870ull, 18719, 1050},
+      {"algo_c_crash", "algo-c", replicated(), true, 12340874317410677664ull, 21727, 1673},
+      {"adaptive", "adaptive", {}, false, 9956786984108163812ull, 9258, 1024},
       {"adaptive_no_cache", "adaptive", with("cache", "false"), false,
-       3785286944018992275ull, 9528, 1034},
-      {"adaptive_crash", "adaptive", replicated(), true, 8490711620098469447ull, 19764, 1460},
-      {"occ", "occ-reads", {}, false, 6159395236281633360ull, 16499, 2226},
+       3785286944018992275ull, 9308, 1034},
+      {"adaptive_crash", "adaptive", replicated(), true, 8490711620098469447ull, 19496, 1460},
+      {"occ", "occ-reads", {}, false, 6159395236281633360ull, 16222, 2226},
       {"occ_gc", "occ-reads", with("gc_versions", "true"), false,
-       7090836447564738853ull, 16510, 2258},
+       7090836447564738853ull, 16244, 2258},
       {"occ_coordinator_2", "occ-reads", with("coordinator", "2"), false,
-       4602182814936118964ull, 16499, 2226},
+       4602182814936118964ull, 16222, 2226},
   };
 }
 
@@ -159,18 +158,6 @@ TEST(CoordinatorBuilder, CoordinatorOutOfRangeThrows) {
 TEST(CoordinatorBuilder, ThreeReplicasThrow) {
   for (const char* protocol : {"algo-b", "algo-c", "adaptive", "broken-adaptive"}) {
     expect_build_throws(protocol, with("replicas", "3"));
-  }
-}
-
-TEST(MaskCarryingBuilder, ObjectCountAboveTheMaskCapThrows) {
-  // Every mask-carrying protocol is refused at build time, before its first
-  // update-coor or get-tag-arr would abort the encoder.
-  for (const char* protocol : {"algo-a", "algo-b", "algo-c", "adaptive", "occ-reads"}) {
-    SimRuntime sim;
-    HistoryRecorder rec(kMaxMaskBits + 1);
-    SystemConfig cfg{kMaxMaskBits + 1, 1, 1};
-    cfg.num_servers = 2;
-    EXPECT_THROW(build_protocol(protocol, sim, rec, cfg, {}), std::invalid_argument) << protocol;
   }
 }
 

@@ -19,7 +19,7 @@ struct ScriptedRead {
   TxnId txn{kInvalidTxn};
 
   ScriptedRead() {
-    sys = build_naive(sim, rec, Topology{2, 1, 0});
+    sys = build_naive(sim, rec, SystemConfig{2, 1, 0});
     sim.start();
     sim.hold_matching(script::any_of(
         {script::payload_is("simple-read"), script::payload_is("simple-read-resp")}));

@@ -209,14 +209,12 @@ TEST(CoorListProperty, HistoryWindowKeepsAnchorPlusAboveWatermark) {
     for (int step = 0; step < 80; ++step) {
       const std::uint64_t dice = rng.below(100);
       if (dice < 35) {  // a write lists
-        std::vector<std::uint8_t> mask(k, 0);
-        mask[rng.below(k)] = 1;
-        mask[rng.below(k)] = 1;
+        const ObjectId a = static_cast<ObjectId>(rng.below(k));
+        const ObjectId b = static_cast<ObjectId>(rng.below(k));
+        const std::vector<ObjectId> objs = object_set({a, b});
         const WriteKey key{static_cast<std::uint64_t>(step + 1), 0};
-        const Tag pos = list.push(key, mask);
-        for (std::size_t i = 0; i < k; ++i) {
-          if (mask[i] != 0) full[i].push_back(ListedKey{pos, key});
-        }
+        const Tag pos = list.push(key, objs);
+        for (ObjectId i : objs) full[i].push_back(ListedKey{pos, key});
         unfinalized.push_back(pos);
       } else if (dice < 60 && !unfinalized.empty()) {  // a write completes
         const std::size_t i = rng.below(unfinalized.size());
@@ -274,14 +272,14 @@ int run_protocol_once(const std::string& kind, std::uint64_t seed, std::size_t o
   const GcSnapshot before = GcCounters::global().snapshot();
   SimRuntime sim(make_uniform_delay(10, 40'000, seed));
   HistoryRecorder rec(3);
-  auto sys = build_protocol(kind, sim, rec, Topology{3, 2, 3});
+  auto sys = build_protocol(kind, sim, rec, SystemConfig{3, 2, 3});
   WorkloadSpec spec;
   spec.ops_per_reader = ops;
   spec.ops_per_writer = ops;
   spec.read_span = 2;
   spec.write_span = 2;
   spec.seed = seed;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
   sim.run_until_idle();
   const History h = rec.snapshot();
@@ -330,14 +328,14 @@ TEST(VersionStoreGcProperty, OccPessimisticFallbackUnderGcStaysSafe) {
     BuildOptions opts;
     opts.set("gc_versions", true);
     opts.set("max_optimistic_rounds", 1);
-    auto sys = build_protocol("occ-reads", sim, rec, Topology{2, 2, 3}, opts);
+    auto sys = build_protocol("occ-reads", sim, rec, SystemConfig{2, 2, 3}, opts);
     WorkloadSpec spec;
     spec.ops_per_reader = 25;
     spec.ops_per_writer = 40;
     spec.read_span = 2;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(sim, *sys, spec);
+    WorkloadDriver driver(sim, *sys, spec);
     driver.start();
     sim.run_until_idle();
     const History h = rec.snapshot();
