@@ -48,13 +48,13 @@ std::string three_client_cell() {
   opts.allow_multiple_readers = true;
   auto sys = build_algo_a(sim, rec, SystemConfig{2, 2, 1}, opts);
   sim.start();
-  const NodeId r2 = sys->reader(1).node_id();
+  const NodeId r2 = sys->reader_node(1);
   sim.hold_matching(script::all_of({script::payload_is("info-reader"), script::to_node(r2)}));
-  invoke_write(sim, sys->writer(0), {{0, 1}, {1, 2}}, [](const WriteResult&) {});
+  sys->client(0).submit(write_txn({{0, 1}, {1, 2}}), [](const TxnResult&) {});
   sim.run_until_idle();
-  invoke_read(sim, sys->reader(0), {0, 1}, [](const ReadResult&) {});
+  sys->client(0).submit(read_txn({0, 1}), [](const TxnResult&) {});
   sim.run_until_idle();
-  invoke_read(sim, sys->reader(1), {0, 1}, [](const ReadResult&) {});
+  sys->client(1).submit(read_txn({0, 1}), [](const TxnResult&) {});
   sim.run_until_idle();
   sim.release_all();
   sim.run_until_idle();

@@ -25,11 +25,11 @@ void demo_fracture() {
   rt.start();
   rt.hold_matching(script::all_of({script::payload_is("simple-write"), script::to_node(1)}));
 
-  invoke_write(rt, system->writer(0), {{0, 11}, {1, 22}}, [](const WriteResult&) {});
+  system->client(0).submit(write_txn({{0, 11}, {1, 22}}), [](const TxnResult&) {});
   rt.run_until_idle();
   std::printf("W(x=11, y=22) invoked; the adversary delays the write to s_y.\n");
 
-  invoke_read(rt, system->reader(0), {0, 1}, [](const ReadResult& r) {
+  system->client(0).submit(read_txn({0, 1}), [](const TxnResult& r) {
     std::printf("R returned (x=%lld, y=%lld) — a state NO serial execution produces.\n",
                 static_cast<long long>(r.values[0].second),
                 static_cast<long long>(r.values[1].second));

@@ -49,7 +49,7 @@ AuditStats run_audits(const std::string& kind, bool adversarial, std::uint64_t s
   for (std::size_t w = 0; w < 2; ++w) {
     const ObjectId a = static_cast<ObjectId>(2 * w);
     const ObjectId b = static_cast<ObjectId>(2 * w + 1);
-    invoke_write(rt, system->writer(w), {{a, book[a]}, {b, book[b]}}, [](const WriteResult&) {});
+    system->client(w).submit(write_txn({{a, book[a]}, {b, book[b]}}), [](const TxnResult&) {});
     rt.run_until_idle();
   }
 
@@ -69,12 +69,12 @@ AuditStats run_audits(const std::string& kind, bool adversarial, std::uint64_t s
                                          script::all_of({script::payload_is("write-val"),
                                                          script::to_node(b)})}));
       }
-      invoke_write(rt, system->writer(w), {{a, book[a]}, {b, book[b]}}, [](const WriteResult&) {});
+      system->client(w).submit(write_txn({{a, book[a]}, {b, book[b]}}), [](const TxnResult&) {});
       rt.run_until_idle();
 
       // Audit while the transfer may still be in flight.
       Value sum = -1;
-      invoke_read(rt, system->reader(0), all_objects(shards), [&](const ReadResult& r) {
+      system->client(0).submit(read_txn(all_objects(shards)), [&](const TxnResult& r) {
         sum = 0;
         for (const auto& [obj, v] : r.values) {
           (void)obj;

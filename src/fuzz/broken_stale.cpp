@@ -58,28 +58,9 @@ const ProtocolRegistration kRegisterBrokenStale{
         .mwmr = true,
     },
     [](Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg, const BuildOptions& opts) {
-      cfg.validate();
-      const Placement place(cfg);
-      rec.attach_runtime(&rt);
       const auto lag = static_cast<std::size_t>(opts.get_int("lag", 2));
-      for (std::size_t i = 0; i < place.num_servers(); ++i) {
-        const NodeId id = rt.add_node(std::make_unique<StaleServer>(lag));
-        SNOW_CHECK(id == i);
-      }
-      std::vector<detail::ParallelReader*> readers;
-      for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-        auto node = std::make_unique<detail::ParallelReader>(rec, place);
-        readers.push_back(node.get());
-        rt.add_node(std::move(node));
-      }
-      std::vector<detail::ParallelWriter*> writers;
-      for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-        auto node = std::make_unique<detail::ParallelWriter>(rec, place);
-        writers.push_back(node.get());
-        rt.add_node(std::move(node));
-      }
-      return std::make_unique<detail::ParallelSystem>("broken-stale", cfg, rt, std::move(readers),
-                                                      std::move(writers));
+      return detail::build_parallel("broken-stale", rt, rec, cfg,
+                                    [lag] { return std::make_unique<StaleServer>(lag); });
     }};
 
 }  // namespace

@@ -27,7 +27,7 @@ class ReaderAdapt final : public CoorReader {
       : CoorReader(rec, place, coor_shard), replicated_(replicated), cache_reads_(cache_reads),
         broken_cache_(broken_cache) {}
 
-  void read(std::vector<ObjectId> objs, ReadCallback cb) override {
+  void read(std::vector<ObjectId> objs, TxnCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
     SNOW_CHECK(!objs.empty());
     const TxnId txn = rec_.begin_read(id(), objs);
@@ -100,7 +100,7 @@ class ReaderAdapt final : public CoorReader {
   struct Pending {
     TxnId txn{kInvalidTxn};
     std::vector<ObjectId> objs;
-    ReadCallback cb;
+    TxnCallback cb;
     bool have_tag_arr{false};
     Tag tag{0};
     Tag watermark{0};
@@ -239,8 +239,7 @@ class ReaderAdapt final : public CoorReader {
   void maybe_complete() {
     if (!pending_->have_tag_arr || pending_->got.size() != pending_->objs.size()) return;
     send_read_done(pending_->txn);
-    ReadResult result;
-    result.txn = pending_->txn;
+    TxnResult result{pending_->txn, /*is_read=*/true, {}};
     for (ObjectId obj : pending_->objs) {
       const Value v = pending_->got.at(obj);
       result.values.emplace_back(obj, v);
@@ -266,13 +265,15 @@ class ReaderAdapt final : public CoorReader {
   std::optional<Pending> pending_;
 };
 
-class SystemAdapt final : public CoorSystem<AdaptiveSystem> {
+class SystemAdapt final : public AdaptiveSystem {
  public:
-  using CoorSystem::CoorSystem;
+  SystemAdapt(std::string name, const SystemConfig& cfg, Runtime& rt, const CoorNodes& nodes)
+      : AdaptiveSystem(std::move(name), cfg, rt, nodes.readers, nodes.writers),
+        readers_(nodes.readers), coordinators_(nodes.coordinators) {}
 
   AdaptiveStats stats() const override {
     AdaptiveStats total;
-    for (const CoorReader* node : nodes_.readers) {
+    for (const ReadClientApi* node : readers_) {
       const AdaptiveStats& s = static_cast<const ReaderAdapt*>(node)->stats();
       total.reads += s.reads;
       total.one_round_reads += s.one_round_reads;
@@ -282,9 +283,13 @@ class SystemAdapt final : public CoorSystem<AdaptiveSystem> {
       total.prefetch_resolved += s.prefetch_resolved;
       total.round2_objects += s.round2_objects;
     }
-    for (const SnowServer* c : nodes_.coordinators) total.switches += c->switches();
+    for (const SnowServer* c : coordinators_) total.switches += c->switches();
     return total;
   }
+
+ private:
+  std::vector<ReadClientApi*> readers_;  ///< all ReaderAdapt.
+  std::vector<SnowServer*> coordinators_;
 };
 
 const ProtocolRegistration kRegisterAdaptive{
@@ -341,7 +346,7 @@ std::unique_ptr<ProtocolSystem> build_adaptive(Runtime& rt, HistoryRecorder& rec
                                              opts.cache_reads, opts.broken_cache);
       },
       ModeTrackerConfig{opts.switch_up, opts.switch_down, opts.ewma_tau_ns});
-  return std::make_unique<SystemAdapt>(opts.name, cfg, rt, std::move(nodes));
+  return std::make_unique<SystemAdapt>(opts.name, cfg, rt, nodes);
 }
 
 }  // namespace snowkit

@@ -29,13 +29,13 @@ class ServerA final : public Node {
   std::map<ObjectId, VersionStore> stores_;  ///< per hosted object.
 };
 
-class ReaderA final : public Node, public ReadClientApi {
+class ReaderA final : public ReadClientApi {
  public:
   ReaderA(HistoryRecorder& rec, const Placement& place) : rec_(rec), place_(place) {
     list_.push_back({kInitialKey, {}});  // List[0] covers every object implicitly
   }
 
-  void read(std::vector<ObjectId> objs, ReadCallback cb) override {
+  void read(std::vector<ObjectId> objs, TxnCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
     SNOW_CHECK(!objs.empty());
     const TxnId txn = rec_.begin_read(id(), objs);
@@ -53,8 +53,6 @@ class ReaderA final : public Node, public ReadClientApi {
       send(place_.server_node(obj), Message{txn, ReadValReq{obj, list_[j].first}});
     }
   }
-
-  NodeId node_id() const override { return id(); }
 
   void on_message(NodeId from, const Message& m) override {
     if (const auto* ir = std::get_if<InfoReaderReq>(&m.payload)) {
@@ -77,7 +75,7 @@ class ReaderA final : public Node, public ReadClientApi {
     std::vector<ObjectId> objs;
     std::map<ObjectId, Value> got;
     Tag tag{0};
-    ReadCallback cb;
+    TxnCallback cb;
   };
 
   std::size_t latest_entry_for(ObjectId obj) const {
@@ -89,8 +87,7 @@ class ReaderA final : public Node, public ReadClientApi {
   }
 
   void complete() {
-    ReadResult result;
-    result.txn = pending_->txn;
+    TxnResult result{pending_->txn, /*is_read=*/true, {}};
     for (ObjectId obj : pending_->objs) result.values.emplace_back(obj, pending_->got.at(obj));
     rec_.finish_read(pending_->txn, result.values, pending_->tag, /*rounds=*/1,
                      /*max_versions=*/1);
@@ -105,12 +102,12 @@ class ReaderA final : public Node, public ReadClientApi {
   std::optional<Pending> pending_;
 };
 
-class WriterA final : public Node, public WriteClientApi {
+class WriterA final : public WriteClientApi {
  public:
   WriterA(HistoryRecorder& rec, const Placement& place, std::vector<NodeId> readers)
       : rec_(rec), place_(place), readers_(std::move(readers)) {}
 
-  void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) override {
+  void write(std::vector<std::pair<ObjectId, Value>> writes, TxnCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "writer " << id() << " already has a WRITE in flight");
     SNOW_CHECK(!writes.empty());
     const TxnId txn = rec_.begin_write(id(), writes);
@@ -127,8 +124,6 @@ class WriterA final : public Node, public WriteClientApi {
     }
     pending_->mask = object_set(std::move(objs));
   }
-
-  NodeId node_id() const override { return id(); }
 
   void on_message(NodeId, const Message& m) override {
     if (std::holds_alternative<WriteValAck>(m.payload)) {
@@ -148,7 +143,7 @@ class WriterA final : public Node, public WriteClientApi {
       if (--pending_->await_reader_acks == 0) {
         rec_.finish_write(pending_->txn, pending_->tag, /*rounds=*/2);
         auto cb = std::move(pending_->cb);
-        const WriteResult result{pending_->txn};
+        const TxnResult result{pending_->txn, /*is_read=*/false, {}};
         pending_.reset();
         cb(result);
       }
@@ -165,7 +160,7 @@ class WriterA final : public Node, public WriteClientApi {
     std::size_t await_server_acks{0};
     std::size_t await_reader_acks{0};
     Tag tag{0};
-    WriteCallback cb;
+    TxnCallback cb;
   };
 
   HistoryRecorder& rec_;
@@ -173,23 +168,6 @@ class WriterA final : public Node, public WriteClientApi {
   std::vector<NodeId> readers_;
   std::uint64_t z_ = 0;
   std::optional<Pending> pending_;
-};
-
-class SystemA final : public ProtocolSystem {
- public:
-  SystemA(const SystemConfig& cfg, Runtime& rt, std::vector<ReaderA*> readers,
-          std::vector<WriterA*> writers)
-      : ProtocolSystem("algo-a", cfg, rt), readers_(std::move(readers)),
-        writers_(std::move(writers)) {}
-
-  std::size_t num_readers() const override { return readers_.size(); }
-  std::size_t num_writers() const override { return writers_.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *readers_.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *writers_.at(i); }
-
- private:
-  std::vector<ReaderA*> readers_;
-  std::vector<WriterA*> writers_;
 };
 
 const ProtocolRegistration kRegisterAlgoA{
@@ -224,20 +202,13 @@ std::unique_ptr<ProtocolSystem> build_algo_a(Runtime& rt, HistoryRecorder& rec,
     const NodeId id = rt.add_node(std::make_unique<ServerA>());
     SNOW_CHECK(id == i);  // servers occupy node ids [0, s)
   }
-  std::vector<ReaderA*> readers;
+  auto readers = add_clients<ReadClientApi>(
+      rt, cfg.num_readers, [&] { return std::make_unique<ReaderA>(rec, place); });
   std::vector<NodeId> reader_ids;
-  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-    auto node = std::make_unique<ReaderA>(rec, place);
-    readers.push_back(node.get());
-    reader_ids.push_back(rt.add_node(std::move(node)));
-  }
-  std::vector<WriterA*> writers;
-  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-    auto node = std::make_unique<WriterA>(rec, place, reader_ids);
-    writers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  return std::make_unique<SystemA>(cfg, rt, std::move(readers), std::move(writers));
+  for (const ReadClientApi* r : readers) reader_ids.push_back(r->id());
+  auto writers = add_clients<WriteClientApi>(
+      rt, cfg.num_writers, [&] { return std::make_unique<WriterA>(rec, place, reader_ids); });
+  return std::make_unique<ProtocolSystem>("algo-a", cfg, rt, readers, writers);
 }
 
 }  // namespace snowkit

@@ -18,7 +18,7 @@ class ReaderB final : public CoorReader {
   ReaderB(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard, bool replicated)
       : CoorReader(rec, place, coor_shard), replicated_(replicated) {}
 
-  void read(std::vector<ObjectId> objs, ReadCallback cb) override {
+  void read(std::vector<ObjectId> objs, TxnCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
     SNOW_CHECK(!objs.empty());
     const TxnId txn = rec_.begin_read(id(), objs);
@@ -81,7 +81,7 @@ class ReaderB final : public CoorReader {
     Tag tag{0};
     Tag watermark{0};
     int attempts{1};
-    ReadCallback cb;
+    TxnCallback cb;
   };
 
   void restart_round() {
@@ -116,8 +116,7 @@ class ReaderB final : public CoorReader {
 
   void complete() {
     send_read_done(pending_->txn);
-    ReadResult result;
-    result.txn = pending_->txn;
+    TxnResult result{pending_->txn, /*is_read=*/true, {}};
     for (ObjectId obj : pending_->objs) result.values.emplace_back(obj, pending_->got.at(obj));
     rec_.finish_read(pending_->txn, result.values, pending_->tag,
                      /*rounds=*/2 * pending_->attempts, /*max_versions=*/1);

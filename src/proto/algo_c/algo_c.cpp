@@ -18,7 +18,7 @@ class ReaderC final : public CoorReader {
   ReaderC(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard, bool may_retry)
       : CoorReader(rec, place, coor_shard), may_retry_(may_retry) {}
 
-  void read(std::vector<ObjectId> objs, ReadCallback cb) override {
+  void read(std::vector<ObjectId> objs, TxnCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
     SNOW_CHECK(!objs.empty());
     const TxnId txn = rec_.begin_read(id(), objs);
@@ -65,7 +65,7 @@ class ReaderC final : public CoorReader {
   struct Pending {
     TxnId txn{kInvalidTxn};
     std::vector<ObjectId> objs;
-    ReadCallback cb;
+    TxnCallback cb;
     std::optional<Tag> tag;  ///< t_r, once the tag array arrived.
     std::map<ObjectId, std::vector<ListedKey>> history;  ///< per object, from the tag array.
     std::map<ObjectId, std::vector<Version>> vals;
@@ -146,9 +146,7 @@ class ReaderC final : public CoorReader {
       max_versions = std::max(max_versions, static_cast<int>(versions.size()));
     }
     send_read_done(pending_->txn);
-    ReadResult result;
-    result.txn = pending_->txn;
-    result.values = values;
+    const TxnResult result{pending_->txn, /*is_read=*/true, values};
     rec_.finish_read(pending_->txn, std::move(values), t, /*rounds=*/pending_->attempts,
                      max_versions);
     auto cb = std::move(pending_->cb);

@@ -1,6 +1,8 @@
 #include "proto/api.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -45,150 +47,120 @@ TxnRequest write_txn(std::vector<std::pair<ObjectId, Value>> writes) {
   return req;
 }
 
-// --- unified-client hub -------------------------------------------------------
+// --- unified clients -----------------------------------------------------------
 
-namespace {
+/// FIFO slot in front of one protocol client node (a reader or a writer).
+/// The protocol clients enforce the paper's well-formedness rule — at most
+/// one outstanding transaction per client — with a hard check; the slot
+/// queues excess submissions instead of tripping it, which is exactly the
+/// backlog behaviour an open-loop driver wants.
+class ProtocolSystem::Slot {
+ public:
+  /// Exactly one of `reader` / `writer` is non-null.
+  Slot(Runtime& rt, ReadClientApi* reader, WriteClientApi* writer)
+      : rt_(rt), reader_(reader), writer_(writer) {}
 
-/// FIFO gate in front of one underlying protocol client (a reader or a
-/// writer node).  The protocol clients enforce the paper's well-formedness
-/// rule — at most one outstanding transaction per client — with a hard
-/// check; the slot queues excess submissions instead of tripping it, which
-/// is exactly the backlog behaviour an open-loop driver wants.
-struct ClientSlot {
+  NodeId node() const { return reader_ != nullptr ? reader_->id() : writer_->id(); }
+
+  void submit(TxnRequest req, TxnCallback cb) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (busy_) {
+        queue_.push_back({std::move(req), std::move(cb)});
+        return;
+      }
+      busy_ = true;
+    }
+    fire(std::move(req), std::move(cb));
+  }
+
+ private:
   struct Item {
     TxnRequest req;
     TxnCallback cb;
   };
 
-  std::mutex mu;
-  bool busy{false};
-  std::deque<Item> queue;
-};
-
-}  // namespace
-
-struct ProtocolSystem::ClientHub {
-  struct UnifiedClient final : public TxnClient {
-    ClientHub* hub{nullptr};
-    ClientSlot* read_slot{nullptr};    // null when the system has no readers
-    ClientSlot* write_slot{nullptr};   // null when the system has no writers
-    ReadClientApi* reader{nullptr};
-    WriteClientApi* writer{nullptr};
-
-    void submit(TxnRequest req, TxnCallback cb) override {
-      SNOW_CHECK_MSG(req.reads.empty() != req.writes.empty(),
-                     "TxnRequest must carry exactly one of a read-set or a write-set");
-      ClientSlot* slot = req.is_read() ? read_slot : write_slot;
-      SNOW_CHECK_MSG(slot != nullptr, "protocol system '" << hub->sys->name() << "' has no "
-                     << (req.is_read() ? "read" : "write") << " clients for this request");
-      {
-        std::lock_guard<std::mutex> lock(slot->mu);
-        if (slot->busy) {
-          slot->queue.push_back({std::move(req), std::move(cb)});
-          return;
-        }
-        slot->busy = true;
-      }
-      fire(slot, std::move(req), std::move(cb));
-    }
-
-    void fire(ClientSlot* slot, TxnRequest req, TxnCallback cb) {
-      Runtime& rt = hub->sys->runtime();
-      if (req.is_read()) {
-        invoke_read(rt, *reader, std::move(req.reads),
-                    [this, slot, cb = std::move(cb)](const ReadResult& r) {
-                      TxnResult out;
-                      out.txn = r.txn;
-                      out.is_read = true;
-                      out.values = r.values;
-                      finish(slot, out, cb);
-                    });
+  /// Invokes the transaction on the node's executor; the node's result is
+  /// handed to `cb` as is.
+  void fire(TxnRequest req, TxnCallback cb) {
+    rt_.post(node(), [this, req = std::move(req), cb = std::move(cb)]() mutable {
+      TxnCallback done = [this, cb = std::move(cb)](const TxnResult& r) { finish(r, cb); };
+      if (reader_ != nullptr) {
+        reader_->read(std::move(req.reads), std::move(done));
       } else {
-        invoke_write(rt, *writer, std::move(req.writes),
-                     [this, slot, cb = std::move(cb)](const WriteResult& w) {
-                       TxnResult out;
-                       out.txn = w.txn;
-                       finish(slot, out, cb);
-                     });
+        writer_->write(std::move(req.writes), std::move(done));
+      }
+    });
+  }
+
+  void finish(const TxnResult& result, const TxnCallback& cb) {
+    // Release the slot BEFORE the callback runs so a closed-loop driver's
+    // chained submit fires immediately instead of queueing behind itself.
+    std::optional<Item> next;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (queue_.empty()) {
+        busy_ = false;
+      } else {
+        next.emplace(std::move(queue_.front()));
+        queue_.pop_front();
       }
     }
+    if (cb) cb(result);
+    if (next) fire(std::move(next->req), std::move(next->cb));
+  }
 
-    void finish(ClientSlot* slot, const TxnResult& result, const TxnCallback& cb) {
-      // Release the slot BEFORE the callback runs so a closed-loop driver's
-      // chained submit fires immediately instead of queueing behind itself.
-      std::optional<ClientSlot::Item> next;
-      {
-        std::lock_guard<std::mutex> lock(slot->mu);
-        if (slot->queue.empty()) {
-          slot->busy = false;
-        } else {
-          next.emplace(std::move(slot->queue.front()));
-          slot->queue.pop_front();
-        }
-      }
-      if (cb) cb(result);
-      if (next) fire(slot, std::move(next->req), std::move(next->cb));
-    }
-  };
-
-  ProtocolSystem* sys{nullptr};
-  std::vector<std::unique_ptr<ClientSlot>> read_slots;
-  std::vector<std::unique_ptr<ClientSlot>> write_slots;
-  std::vector<std::unique_ptr<UnifiedClient>> clients;
+  Runtime& rt_;
+  ReadClientApi* reader_;
+  WriteClientApi* writer_;
+  std::mutex mu_;
+  bool busy_{false};
+  std::deque<Item> queue_;
 };
 
-ProtocolSystem::ProtocolSystem(std::string name, const SystemConfig& cfg, Runtime& rt)
-    : name_(std::move(name)), cfg_(cfg), placement_(cfg), rt_(rt) {}
+class ProtocolSystem::Client final : public TxnClient {
+ public:
+  /// A null slot means the system has no clients of that kind.
+  Client(const ProtocolSystem& sys, Slot* read_slot, Slot* write_slot)
+      : sys_(sys), read_slot_(read_slot), write_slot_(write_slot) {}
+
+  void submit(TxnRequest req, TxnCallback cb) override {
+    SNOW_CHECK_MSG(req.reads.empty() != req.writes.empty(),
+                   "TxnRequest must carry exactly one of a read-set or a write-set");
+    Slot* slot = req.is_read() ? read_slot_ : write_slot_;
+    SNOW_CHECK_MSG(slot != nullptr, "protocol system '" << sys_.name() << "' has no "
+                   << (req.is_read() ? "read" : "write") << " clients for this request");
+    slot->submit(std::move(req), std::move(cb));
+  }
+
+ private:
+  const ProtocolSystem& sys_;
+  Slot* read_slot_;
+  Slot* write_slot_;
+};
+
+ProtocolSystem::ProtocolSystem(std::string name, const SystemConfig& cfg, Runtime& rt,
+                               const std::vector<ReadClientApi*>& readers,
+                               const std::vector<WriteClientApi*>& writers)
+    : name_(std::move(name)), cfg_(cfg), placement_(cfg) {
+  for (ReadClientApi* r : readers) read_slots_.push_back(std::make_unique<Slot>(rt, r, nullptr));
+  for (WriteClientApi* w : writers) write_slots_.push_back(std::make_unique<Slot>(rt, nullptr, w));
+  const std::size_t r = read_slots_.size();
+  const std::size_t w = write_slots_.size();
+  for (std::size_t c = 0; c < std::max(r, w); ++c) {
+    clients_.push_back(std::make_unique<Client>(*this, r > 0 ? read_slots_[c % r].get() : nullptr,
+                                                w > 0 ? write_slots_[c % w].get() : nullptr));
+  }
+}
 
 ProtocolSystem::~ProtocolSystem() = default;
 
-std::size_t ProtocolSystem::num_clients() const {
-  return std::max(num_readers(), num_writers());
-}
+NodeId ProtocolSystem::reader_node(std::size_t i) const { return read_slots_.at(i)->node(); }
 
 TxnClient& ProtocolSystem::client(std::size_t i) {
-  std::lock_guard<std::mutex> lock(hub_mu_);
-  if (!hub_) {
-    const std::size_t readers = num_readers();
-    const std::size_t writers = num_writers();
-    SNOW_CHECK_MSG(readers + writers > 0, "protocol system '" << name_ << "' has no clients");
-    auto hub = std::make_unique<ClientHub>();
-    hub->sys = this;
-    for (std::size_t r = 0; r < readers; ++r) hub->read_slots.push_back(std::make_unique<ClientSlot>());
-    for (std::size_t w = 0; w < writers; ++w) hub->write_slots.push_back(std::make_unique<ClientSlot>());
-    const std::size_t n = std::max(readers, writers);
-    for (std::size_t c = 0; c < n; ++c) {
-      auto uc = std::make_unique<ClientHub::UnifiedClient>();
-      uc->hub = hub.get();
-      if (readers > 0) {
-        uc->read_slot = hub->read_slots[c % readers].get();
-        uc->reader = &reader(c % readers);
-      }
-      if (writers > 0) {
-        uc->write_slot = hub->write_slots[c % writers].get();
-        uc->writer = &writer(c % writers);
-      }
-      hub->clients.push_back(std::move(uc));
-    }
-    hub_ = std::move(hub);
-  }
-  SNOW_CHECK_MSG(i < hub_->clients.size(),
-                 "client index " << i << " out of range (num_clients = " << hub_->clients.size()
-                                 << ")");
-  return *hub_->clients[i];
-}
-
-void invoke_read(Runtime& rt, ReadClientApi& client, std::vector<ObjectId> objs, ReadCallback cb) {
-  rt.post(client.node_id(), [&client, objs = std::move(objs), cb = std::move(cb)]() mutable {
-    client.read(std::move(objs), std::move(cb));
-  });
-}
-
-void invoke_write(Runtime& rt, WriteClientApi& client,
-                  std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) {
-  rt.post(client.node_id(), [&client, writes = std::move(writes), cb = std::move(cb)]() mutable {
-    client.write(std::move(writes), std::move(cb));
-  });
+  SNOW_CHECK_MSG(i < clients_.size(), "client index " << i << " out of range (num_clients = "
+                                                      << clients_.size() << ")");
+  return *clients_[i];
 }
 
 std::vector<ObjectId> all_objects(std::size_t k) {

@@ -1,23 +1,22 @@
 // Public client API shared by all protocols.
 //
-// Each protocol (proto/algo_a, algo_b, algo_c, eiger, blocking, simple,
-// naive, occ) assembles a ProtocolSystem on top of a SystemConfig: a server
-// fleet (by default one server per object, matching the paper's model, but
-// optionally fewer servers with objects sharded across them via an
-// ObjectPlacement policy), some read-clients and some write-clients.
+// Each protocol builder (proto/algo_a, algo_b, algo_c, adaptive, eiger,
+// blocking, simple, naive, occ) adds its nodes to a Runtime according to a
+// SystemConfig: a server fleet (by default one server per object, matching
+// the paper's model, but optionally fewer servers with objects sharded
+// across them via an ObjectPlacement policy), its READ client nodes and its
+// WRITE client nodes.  It hands the reader and writer lists to
+// ProtocolSystem, which puts a FIFO slot in front of each.
 //
-// Transactions are invoked through the unified TxnClient::submit API — a
-// TxnRequest carries either a read-set or a write-set — or through the
-// legacy ReadClientApi / WriteClientApi, which remain as thin shims during
-// migration.  Completion is delivered via callback on the client's executor
-// and recorded in the shared HistoryRecorder.
+// Drivers, tests and demos invoke transactions only through
+// ProtocolSystem::client(i): TxnClient::submit takes a TxnRequest carrying
+// either a read-set or a write-set.  Completion is delivered via callback on
+// the protocol client's executor and recorded in the shared HistoryRecorder.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -96,18 +95,6 @@ class Placement {
 
 // --- transaction requests & results ------------------------------------------
 
-struct ReadResult {
-  TxnId txn{kInvalidTxn};
-  std::vector<std::pair<ObjectId, Value>> values;
-};
-
-struct WriteResult {
-  TxnId txn{kInvalidTxn};
-};
-
-using ReadCallback = std::function<void(const ReadResult&)>;
-using WriteCallback = std::function<void(const WriteResult&)>;
-
 /// A transaction request: exactly one of `reads` / `writes` is non-empty
 /// (the paper's model has READ transactions and WRITE transactions, never
 /// mixed read-write transactions).
@@ -144,42 +131,49 @@ class TxnClient {
   virtual void submit(TxnRequest req, TxnCallback cb) = 0;
 };
 
-// --- legacy split client interfaces (deprecated shims) -----------------------
+// --- protocol client nodes -----------------------------------------------------
 
-/// A read-client: executes only READ transactions (paper §2).
-/// Deprecated: prefer TxnClient via ProtocolSystem::client().
-class ReadClientApi {
+/// A protocol's READ client node: executes only READ transactions (paper §2).
+/// ProtocolSystem drives it: read() runs on the node's executor with at most
+/// one READ outstanding (well-formedness), and completes through `cb` with
+/// `is_read` set and one (object, value) pair per object read.
+class ReadClientApi : public Node {
  public:
-  virtual ~ReadClientApi() = default;
-
-  /// Invokes R(o_{i1}..o_{iq}).  Must be called on the client's executor
-  /// (use invoke_read below from driver code).  One outstanding transaction
-  /// per client (well-formedness).
-  virtual void read(std::vector<ObjectId> objs, ReadCallback cb) = 0;
-
-  virtual NodeId node_id() const = 0;
+  virtual void read(std::vector<ObjectId> objs, TxnCallback cb) = 0;
 };
 
-/// A write-client: executes only WRITE transactions.
-/// Deprecated: prefer TxnClient via ProtocolSystem::client().
-class WriteClientApi {
+/// A protocol's WRITE client node: executes only WRITE transactions, under
+/// the same contract as ReadClientApi; its result carries no values.
+class WriteClientApi : public Node {
  public:
-  virtual ~WriteClientApi() = default;
-
-  virtual void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) = 0;
-
-  virtual NodeId node_id() const = 0;
+  virtual void write(std::vector<std::pair<ObjectId, Value>> writes, TxnCallback cb) = 0;
 };
+
+/// Adds `n` nodes made by `make()` to `rt`, in order, and returns them as
+/// `Api*` for the ProtocolSystem constructor.
+template <typename Api, typename Make>
+std::vector<Api*> add_clients(Runtime& rt, std::size_t n, const Make& make) {
+  std::vector<Api*> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    auto node = make();
+    out.push_back(node.get());
+    rt.add_node(std::move(node));
+  }
+  return out;
+}
 
 // --- assembled systems --------------------------------------------------------
 
-/// An assembled protocol instance on some runtime.  The base class owns the
-/// name, config and placement (so protocols share one object->server map) and
-/// provides the unified TxnClient view; concrete systems only expose their
-/// reader/writer node sets.
+/// An assembled protocol instance on some runtime.  A builder adds its
+/// servers and client nodes to the runtime and hands the READ and WRITE
+/// client nodes to this constructor.  The system owns the name, config and
+/// placement (so protocols share one object->server map) and the unified
+/// clients, which it builds here, once.  Drivers use only client(i).
 class ProtocolSystem {
  public:
-  ProtocolSystem(std::string name, const SystemConfig& cfg, Runtime& rt);
+  ProtocolSystem(std::string name, const SystemConfig& cfg, Runtime& rt,
+                 const std::vector<ReadClientApi*>& readers,
+                 const std::vector<WriteClientApi*>& writers);
   virtual ~ProtocolSystem();
 
   ProtocolSystem(const ProtocolSystem&) = delete;
@@ -193,37 +187,30 @@ class ProtocolSystem {
   std::size_t num_servers() const { return placement_.num_servers(); }
   NodeId server_node(ObjectId obj) const { return placement_.server_node(obj); }
 
-  virtual std::size_t num_readers() const = 0;
-  virtual std::size_t num_writers() const = 0;
-  virtual ReadClientApi& reader(std::size_t i) = 0;
-  virtual WriteClientApi& writer(std::size_t i) = 0;
+  std::size_t num_readers() const { return read_slots_.size(); }
+  std::size_t num_writers() const { return write_slots_.size(); }
+  /// Node id of READ client `i`, for scripted schedules that steer its
+  /// traffic.
+  NodeId reader_node(std::size_t i) const;
 
   /// Number of unified clients: max(readers, writers).  Client i routes
   /// READs through reader (i mod R) and WRITEs through writer (i mod W),
-  /// queuing per underlying protocol client so concurrent submissions never
-  /// violate the one-outstanding-transaction well-formedness rule.
-  std::size_t num_clients() const;
+  /// queuing per protocol client so concurrent submissions never violate
+  /// the one-outstanding-transaction well-formedness rule.
+  std::size_t num_clients() const { return clients_.size(); }
   TxnClient& client(std::size_t i);
 
-  Runtime& runtime() const { return rt_; }
-
  private:
-  struct ClientHub;
+  class Slot;
+  class Client;
 
   std::string name_;
   SystemConfig cfg_;
   Placement placement_;
-  Runtime& rt_;
-  std::mutex hub_mu_;
-  std::unique_ptr<ClientHub> hub_;
+  std::vector<std::unique_ptr<Slot>> read_slots_;
+  std::vector<std::unique_ptr<Slot>> write_slots_;
+  std::vector<std::unique_ptr<Client>> clients_;
 };
-
-/// Posts a read invocation onto the client's executor.
-void invoke_read(Runtime& rt, ReadClientApi& client, std::vector<ObjectId> objs, ReadCallback cb);
-
-/// Posts a write invocation onto the client's executor.
-void invoke_write(Runtime& rt, WriteClientApi& client,
-                  std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb);
 
 /// All object ids [0, k).
 std::vector<ObjectId> all_objects(std::size_t k);

@@ -75,11 +75,11 @@ class ServerL final : public Node {
   std::map<ObjectId, LockState> locks_;
 };
 
-class ReaderL final : public Node, public ReadClientApi {
+class ReaderL final : public ReadClientApi {
  public:
   ReaderL(HistoryRecorder& rec, const Placement& place) : rec_(rec), place_(place) {}
 
-  void read(std::vector<ObjectId> objs, ReadCallback cb) override {
+  void read(std::vector<ObjectId> objs, TxnCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
     SNOW_CHECK(!objs.empty());
     std::sort(objs.begin(), objs.end());  // lock-ordering discipline
@@ -90,8 +90,6 @@ class ReaderL final : public Node, public ReadClientApi {
     pending_->cb = std::move(cb);
     request_next_lock();
   }
-
-  NodeId node_id() const override { return id(); }
 
   void on_message(NodeId, const Message& m) override {
     const auto* g = std::get_if<LockGrant>(&m.payload);
@@ -106,9 +104,7 @@ class ReaderL final : public Node, public ReadClientApi {
     for (ObjectId obj : pending_->objs) {
       send(place_.server_node(obj), Message{pending_->txn, UnlockReq{obj}});
     }
-    ReadResult result;
-    result.txn = pending_->txn;
-    result.values = pending_->values;
+    const TxnResult result{pending_->txn, /*is_read=*/true, pending_->values};
     rec_.finish_read(pending_->txn, pending_->values, kInvalidTag,
                      static_cast<int>(pending_->objs.size()), /*max_versions=*/1);
     auto cb = std::move(pending_->cb);
@@ -121,7 +117,7 @@ class ReaderL final : public Node, public ReadClientApi {
     TxnId txn{kInvalidTxn};
     std::vector<ObjectId> objs;
     std::vector<std::pair<ObjectId, Value>> values;
-    ReadCallback cb;
+    TxnCallback cb;
   };
 
   void request_next_lock() {
@@ -134,11 +130,11 @@ class ReaderL final : public Node, public ReadClientApi {
   std::optional<Pending> pending_;
 };
 
-class WriterL final : public Node, public WriteClientApi {
+class WriterL final : public WriteClientApi {
  public:
   WriterL(HistoryRecorder& rec, const Placement& place) : rec_(rec), place_(place) {}
 
-  void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) override {
+  void write(std::vector<std::pair<ObjectId, Value>> writes, TxnCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "writer " << id() << " already has a WRITE in flight");
     SNOW_CHECK(!writes.empty());
     std::sort(writes.begin(), writes.end());
@@ -149,8 +145,6 @@ class WriterL final : public Node, public WriteClientApi {
     pending_->cb = std::move(cb);
     request_next_lock();
   }
-
-  NodeId node_id() const override { return id(); }
 
   void on_message(NodeId, const Message& m) override {
     if (std::holds_alternative<LockGrant>(m.payload)) {
@@ -172,7 +166,7 @@ class WriterL final : public Node, public WriteClientApi {
       rec_.finish_write(pending_->txn, kInvalidTag,
                         static_cast<int>(pending_->writes.size()) + 1);
       auto cb = std::move(pending_->cb);
-      const WriteResult result{pending_->txn};
+      const TxnResult result{pending_->txn, /*is_read=*/false, {}};
       pending_.reset();
       cb(result);
       return;
@@ -186,7 +180,7 @@ class WriterL final : public Node, public WriteClientApi {
     std::vector<std::pair<ObjectId, Value>> writes;
     std::size_t locks_held{0};
     std::size_t apply_acks{0};
-    WriteCallback cb;
+    TxnCallback cb;
   };
 
   void request_next_lock() {
@@ -197,23 +191,6 @@ class WriterL final : public Node, public WriteClientApi {
   HistoryRecorder& rec_;
   Placement place_;
   std::optional<Pending> pending_;
-};
-
-class SystemL final : public ProtocolSystem {
- public:
-  SystemL(const SystemConfig& cfg, Runtime& rt, std::vector<ReaderL*> readers,
-          std::vector<WriterL*> writers)
-      : ProtocolSystem("blocking-2pl", cfg, rt), readers_(std::move(readers)),
-        writers_(std::move(writers)) {}
-
-  std::size_t num_readers() const override { return readers_.size(); }
-  std::size_t num_writers() const override { return writers_.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *readers_.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *writers_.at(i); }
-
- private:
-  std::vector<ReaderL*> readers_;
-  std::vector<WriterL*> writers_;
 };
 
 const ProtocolRegistration kRegisterBlocking{
@@ -243,19 +220,11 @@ std::unique_ptr<ProtocolSystem> build_blocking(Runtime& rt, HistoryRecorder& rec
     const NodeId id = rt.add_node(std::make_unique<ServerL>());
     SNOW_CHECK(id == i);
   }
-  std::vector<ReaderL*> readers;
-  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-    auto node = std::make_unique<ReaderL>(rec, place);
-    readers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  std::vector<WriterL*> writers;
-  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-    auto node = std::make_unique<WriterL>(rec, place);
-    writers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  return std::make_unique<SystemL>(cfg, rt, std::move(readers), std::move(writers));
+  auto readers = add_clients<ReadClientApi>(
+      rt, cfg.num_readers, [&] { return std::make_unique<ReaderL>(rec, place); });
+  auto writers = add_clients<WriteClientApi>(
+      rt, cfg.num_writers, [&] { return std::make_unique<WriterL>(rec, place); });
+  return std::make_unique<ProtocolSystem>("blocking-2pl", cfg, rt, readers, writers);
 }
 
 }  // namespace snowkit

@@ -72,17 +72,12 @@ CoorNodes add_coor_nodes(Runtime& rt, HistoryRecorder& rec, const SystemConfig& 
   };
 
   for (std::size_t s = 0; s < servers; ++s) add_server(s, /*primary=*/true);
-  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-    auto node = make_reader(place, repl);
-    nodes.readers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-    auto node = std::make_unique<CoorWriter>(rec, place, opts.coordinator,
-                                             /*send_finalize=*/opts.gc_versions, repl);
-    nodes.writers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
+  nodes.readers = add_clients<ReadClientApi>(rt, cfg.num_readers,
+                                             [&] { return make_reader(place, repl); });
+  nodes.writers = add_clients<WriteClientApi>(rt, cfg.num_writers, [&] {
+    return std::make_unique<CoorWriter>(rec, place, opts.coordinator,
+                                        /*send_finalize=*/opts.gc_versions, repl);
+  });
   if (repl) {
     for (std::size_t s = 0; s < servers; ++s) add_server(s, /*primary=*/false);
   }
@@ -94,7 +89,7 @@ std::unique_ptr<ProtocolSystem> build_coor_system(Runtime& rt, HistoryRecorder& 
                                                   const CoorOptions& opts, TagArrShape shape,
                                                   const ReaderFactory& make_reader) {
   CoorNodes nodes = add_coor_nodes(rt, rec, cfg, opts, shape, make_reader);
-  return std::make_unique<CoorSystem<>>(opts.name, cfg, rt, std::move(nodes));
+  return std::make_unique<ProtocolSystem>(opts.name, cfg, rt, nodes.readers, nodes.writers);
 }
 
 }  // namespace snowkit

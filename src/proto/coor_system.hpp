@@ -59,12 +59,10 @@ struct CoorOptions {
 
 /// A READ client of a coordinator-based protocol: the state every such
 /// reader keeps and the requests they all build the same way.
-class CoorReader : public Node, public ReadClientApi {
+class CoorReader : public ReadClientApi {
  public:
   CoorReader(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard)
       : rec_(rec), place_(place), coor_shard_(coor_shard), routes_(place.num_servers()) {}
-
-  NodeId node_id() const override { return id(); }
 
  protected:
   /// Current node of the coordinator shard / of the shard hosting `obj`
@@ -110,8 +108,8 @@ using ReaderFactory =
     std::function<std::unique_ptr<CoorReader>(const Placement& place, bool replicated)>;
 
 struct CoorNodes {
-  std::vector<CoorReader*> readers;
-  std::vector<CoorWriter*> writers;
+  std::vector<ReadClientApi*> readers;
+  std::vector<WriteClientApi*> writers;
   std::vector<SnowServer*> coordinators;  ///< the coordinator shard: primary (+ backup).
 };
 
@@ -122,24 +120,7 @@ CoorNodes add_coor_nodes(Runtime& rt, HistoryRecorder& rec, const SystemConfig& 
                          const CoorOptions& opts, TagArrShape shape,
                          const ReaderFactory& make_reader, const ModeTrackerConfig& modes = {});
 
-/// The assembled system; `Base` lets a protocol add its own accessors (the
-/// adaptive counters).
-template <typename Base = ProtocolSystem>
-class CoorSystem : public Base {
- public:
-  CoorSystem(std::string name, const SystemConfig& cfg, Runtime& rt, CoorNodes nodes)
-      : Base(std::move(name), cfg, rt), nodes_(std::move(nodes)) {}
-
-  std::size_t num_readers() const override { return nodes_.readers.size(); }
-  std::size_t num_writers() const override { return nodes_.writers.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *nodes_.readers.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *nodes_.writers.at(i); }
-
- protected:
-  CoorNodes nodes_;
-};
-
-/// add_coor_nodes wrapped in a plain CoorSystem named opts.name.
+/// add_coor_nodes wrapped in a ProtocolSystem named opts.name.
 std::unique_ptr<ProtocolSystem> build_coor_system(Runtime& rt, HistoryRecorder& rec,
                                                   const SystemConfig& cfg,
                                                   const CoorOptions& opts, TagArrShape shape,

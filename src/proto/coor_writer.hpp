@@ -35,14 +35,14 @@
 
 namespace snowkit {
 
-class CoorWriter final : public Node, public WriteClientApi {
+class CoorWriter final : public WriteClientApi {
  public:
   CoorWriter(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard,
              bool send_finalize, bool replicated = false)
       : rec_(rec), place_(place), coor_shard_(coor_shard),
         send_finalize_(send_finalize), replicated_(replicated), routes_(place.num_servers()) {}
 
-  void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) override {
+  void write(std::vector<std::pair<ObjectId, Value>> writes, TxnCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "writer " << id() << " already has a WRITE in flight");
     SNOW_CHECK(!writes.empty());
     const TxnId txn = rec_.begin_write(id(), writes);
@@ -60,8 +60,6 @@ class CoorWriter final : public Node, public WriteClientApi {
     }
     pending_->mask = object_set(std::move(objs));
   }
-
-  NodeId node_id() const override { return id(); }
 
   void on_message(NodeId, const Message& m) override {
     if (const auto* tn = std::get_if<TakeoverNotice>(&m.payload)) {
@@ -98,7 +96,7 @@ class CoorWriter final : public Node, public WriteClientApi {
       }
       rec_.finish_write(pending_->txn, ack->tag, /*rounds=*/2);
       auto cb = std::move(pending_->cb);
-      const WriteResult result{pending_->txn};
+      const TxnResult result{pending_->txn, /*is_read=*/false, {}};
       pending_.reset();
       cb(result);
       return;
@@ -114,7 +112,7 @@ class CoorWriter final : public Node, public WriteClientApi {
     std::vector<ObjectId> mask;  ///< the update-coor object set.
     std::set<ObjectId> unacked;  ///< objects whose write-val ack is still owed.
     bool coor_sent{false};       ///< phase two: update-coor is in flight.
-    WriteCallback cb;
+    TxnCallback cb;
   };
 
   void on_takeover(const TakeoverNotice& tn) {

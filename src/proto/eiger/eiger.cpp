@@ -114,11 +114,11 @@ class ServerE final : public Node {
   std::map<NodeId, ReaderFloors> floors_;
 };
 
-class ReaderE final : public Node, public ReadClientApi {
+class ReaderE final : public ReadClientApi {
  public:
   ReaderE(HistoryRecorder& rec, const Placement& place) : rec_(rec), place_(place) {}
 
-  void read(std::vector<ObjectId> objs, ReadCallback cb) override {
+  void read(std::vector<ObjectId> objs, TxnCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
     SNOW_CHECK(!objs.empty());
     const TxnId txn = rec_.begin_read(id(), objs);
@@ -130,8 +130,6 @@ class ReaderE final : public Node, public ReadClientApi {
       send(place_.server_node(obj), Message{txn, EigerReadReq{obj, clock_}});
     }
   }
-
-  NodeId node_id() const override { return id(); }
 
   void on_message(NodeId, const Message& m) override {
     if (const auto* r = std::get_if<EigerReadResp>(&m.payload)) {
@@ -158,7 +156,7 @@ class ReaderE final : public Node, public ReadClientApi {
     std::map<ObjectId, EigerReadResp> first;
     std::map<ObjectId, Value> second;
     std::uint64_t effective{0};
-    ReadCallback cb;
+    TxnCallback cb;
   };
 
   void first_round_done() {
@@ -189,8 +187,7 @@ class ReaderE final : public Node, public ReadClientApi {
     std::set<NodeId> servers;
     for (ObjectId obj : pending_->objs) servers.insert(place_.server_node(obj));
     for (NodeId s : servers) send(s, Message{kInvalidTxn, ReadDoneReq{pending_->txn}});
-    ReadResult result;
-    result.txn = pending_->txn;
+    TxnResult result{pending_->txn, /*is_read=*/true, {}};
     for (ObjectId obj : pending_->objs) result.values.emplace_back(obj, pending_->second.at(obj));
     rec_.finish_read(pending_->txn, result.values, kInvalidTag, rounds, /*max_versions=*/1);
     auto cb = std::move(pending_->cb);
@@ -204,11 +201,11 @@ class ReaderE final : public Node, public ReadClientApi {
   std::optional<Pending> pending_;
 };
 
-class WriterE final : public Node, public WriteClientApi {
+class WriterE final : public WriteClientApi {
  public:
   WriterE(HistoryRecorder& rec, const Placement& place) : rec_(rec), place_(place) {}
 
-  void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) override {
+  void write(std::vector<std::pair<ObjectId, Value>> writes, TxnCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "writer " << id() << " already has a WRITE in flight");
     SNOW_CHECK(!writes.empty());
     const TxnId txn = rec_.begin_write(id(), writes);
@@ -221,8 +218,6 @@ class WriterE final : public Node, public WriteClientApi {
     }
   }
 
-  NodeId node_id() const override { return id(); }
-
   void on_message(NodeId, const Message& m) override {
     const auto* ack = std::get_if<EigerWriteAck>(&m.payload);
     SNOW_CHECK(ack != nullptr && pending_ && pending_->txn == m.txn);
@@ -230,7 +225,7 @@ class WriterE final : public Node, public WriteClientApi {
     if (--pending_->await != 0) return;
     rec_.finish_write(pending_->txn, kInvalidTag, /*rounds=*/1);
     auto cb = std::move(pending_->cb);
-    const WriteResult result{pending_->txn};
+    const TxnResult result{pending_->txn, /*is_read=*/false, {}};
     pending_.reset();
     cb(result);
   }
@@ -239,30 +234,13 @@ class WriterE final : public Node, public WriteClientApi {
   struct Pending {
     TxnId txn{kInvalidTxn};
     std::size_t await{0};
-    WriteCallback cb;
+    TxnCallback cb;
   };
 
   HistoryRecorder& rec_;
   Placement place_;
   std::uint64_t clock_ = 0;
   std::optional<Pending> pending_;
-};
-
-class SystemE final : public ProtocolSystem {
- public:
-  SystemE(const SystemConfig& cfg, Runtime& rt, std::vector<ReaderE*> readers,
-          std::vector<WriterE*> writers)
-      : ProtocolSystem("eiger", cfg, rt), readers_(std::move(readers)),
-        writers_(std::move(writers)) {}
-
-  std::size_t num_readers() const override { return readers_.size(); }
-  std::size_t num_writers() const override { return writers_.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *readers_.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *writers_.at(i); }
-
- private:
-  std::vector<ReaderE*> readers_;
-  std::vector<WriterE*> writers_;
 };
 
 const ProtocolRegistration kRegisterEiger{
@@ -293,19 +271,11 @@ std::unique_ptr<ProtocolSystem> build_eiger(Runtime& rt, HistoryRecorder& rec,
     const NodeId id = rt.add_node(std::make_unique<ServerE>());
     SNOW_CHECK(id == i);
   }
-  std::vector<ReaderE*> readers;
-  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-    auto node = std::make_unique<ReaderE>(rec, place);
-    readers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  std::vector<WriterE*> writers;
-  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-    auto node = std::make_unique<WriterE>(rec, place);
-    writers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  return std::make_unique<SystemE>(cfg, rt, std::move(readers), std::move(writers));
+  auto readers = add_clients<ReadClientApi>(
+      rt, cfg.num_readers, [&] { return std::make_unique<ReaderE>(rec, place); });
+  auto writers = add_clients<WriteClientApi>(
+      rt, cfg.num_writers, [&] { return std::make_unique<WriterE>(rec, place); });
+  return std::make_unique<ProtocolSystem>("eiger", cfg, rt, readers, writers);
 }
 
 }  // namespace snowkit

@@ -15,7 +15,7 @@ class ReaderO final : public CoorReader {
   ReaderO(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard, int max_optimistic)
       : CoorReader(rec, place, coor_shard), max_optimistic_(max_optimistic) {}
 
-  void read(std::vector<ObjectId> objs, ReadCallback cb) override {
+  void read(std::vector<ObjectId> objs, TxnCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
     SNOW_CHECK(!objs.empty());
     const TxnId txn = rec_.begin_read(id(), objs);
@@ -54,7 +54,7 @@ class ReaderO final : public CoorReader {
   struct Pending {
     TxnId txn{kInvalidTxn};
     std::vector<ObjectId> objs;
-    ReadCallback cb;
+    TxnCallback cb;
     std::map<ObjectId, WriteKey> guesses;
     std::map<ObjectId, std::optional<Value>> got;
     std::optional<GetTagArrResp> tag_arr;
@@ -123,8 +123,7 @@ class ReaderO final : public CoorReader {
 
   void complete(Tag tag) {
     send_read_done(pending_->txn);
-    ReadResult result;
-    result.txn = pending_->txn;
+    TxnResult result{pending_->txn, /*is_read=*/true, {}};
     for (ObjectId obj : pending_->objs) {
       result.values.emplace_back(obj, *pending_->got.at(obj));
     }

@@ -9,8 +9,11 @@
 // WRITEs (the fig1a bench exhibits concrete fractured reads).
 #pragma once
 
+#include <functional>
 #include <map>
+#include <memory>
 #include <optional>
+#include <string>
 
 #include "common/assert.hpp"
 #include "proto/api.hpp"
@@ -38,11 +41,11 @@ class ParallelServer final : public Node {
   std::map<ObjectId, Value> values_;  ///< latest value per hosted object.
 };
 
-class ParallelReader final : public Node, public ReadClientApi {
+class ParallelReader final : public ReadClientApi {
  public:
   ParallelReader(HistoryRecorder& rec, const Placement& place) : rec_(rec), place_(place) {}
 
-  void read(std::vector<ObjectId> objs, ReadCallback cb) override {
+  void read(std::vector<ObjectId> objs, TxnCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
     SNOW_CHECK(!objs.empty());
     const TxnId txn = rec_.begin_read(id(), objs);
@@ -53,15 +56,12 @@ class ParallelReader final : public Node, public ReadClientApi {
     for (ObjectId obj : objs) send(place_.server_node(obj), Message{txn, SimpleReadReq{obj}});
   }
 
-  NodeId node_id() const override { return id(); }
-
   void on_message(NodeId, const Message& m) override {
     const auto* r = std::get_if<SimpleReadResp>(&m.payload);
     SNOW_CHECK(r != nullptr && pending_ && pending_->txn == m.txn);
     pending_->got[r->obj] = r->value;
     if (pending_->got.size() != pending_->objs.size()) return;
-    ReadResult result;
-    result.txn = pending_->txn;
+    TxnResult result{pending_->txn, /*is_read=*/true, {}};
     for (ObjectId obj : pending_->objs) result.values.emplace_back(obj, pending_->got.at(obj));
     rec_.finish_read(pending_->txn, result.values, kInvalidTag, /*rounds=*/1, /*max_versions=*/1);
     auto cb = std::move(pending_->cb);
@@ -74,7 +74,7 @@ class ParallelReader final : public Node, public ReadClientApi {
     TxnId txn{kInvalidTxn};
     std::vector<ObjectId> objs;
     std::map<ObjectId, Value> got;
-    ReadCallback cb;
+    TxnCallback cb;
   };
 
   HistoryRecorder& rec_;
@@ -82,11 +82,11 @@ class ParallelReader final : public Node, public ReadClientApi {
   std::optional<Pending> pending_;
 };
 
-class ParallelWriter final : public Node, public WriteClientApi {
+class ParallelWriter final : public WriteClientApi {
  public:
   ParallelWriter(HistoryRecorder& rec, const Placement& place) : rec_(rec), place_(place) {}
 
-  void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) override {
+  void write(std::vector<std::pair<ObjectId, Value>> writes, TxnCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "writer " << id() << " already has a WRITE in flight");
     SNOW_CHECK(!writes.empty());
     const TxnId txn = rec_.begin_write(id(), writes);
@@ -99,15 +99,13 @@ class ParallelWriter final : public Node, public WriteClientApi {
     }
   }
 
-  NodeId node_id() const override { return id(); }
-
   void on_message(NodeId, const Message& m) override {
     SNOW_CHECK(std::holds_alternative<SimpleWriteAck>(m.payload));
     SNOW_CHECK(pending_ && pending_->txn == m.txn);
     if (--pending_->await != 0) return;
     rec_.finish_write(pending_->txn, kInvalidTag, /*rounds=*/1);
     auto cb = std::move(pending_->cb);
-    const WriteResult result{pending_->txn};
+    const TxnResult result{pending_->txn, /*is_read=*/false, {}};
     pending_.reset();
     cb(result);
   }
@@ -116,7 +114,7 @@ class ParallelWriter final : public Node, public WriteClientApi {
   struct Pending {
     TxnId txn{kInvalidTxn};
     std::size_t await{0};
-    WriteCallback cb;
+    TxnCallback cb;
   };
 
   HistoryRecorder& rec_;
@@ -124,25 +122,13 @@ class ParallelWriter final : public Node, public WriteClientApi {
   std::optional<Pending> pending_;
 };
 
-/// Assembles servers/readers/writers for `simple` and `naive`.
-class ParallelSystem final : public ProtocolSystem {
- public:
-  ParallelSystem(std::string name, const SystemConfig& cfg, Runtime& rt,
-                 std::vector<ParallelReader*> readers, std::vector<ParallelWriter*> writers)
-      : ProtocolSystem(std::move(name), cfg, rt), readers_(std::move(readers)),
-        writers_(std::move(writers)) {}
-
-  std::size_t num_readers() const override { return readers_.size(); }
-  std::size_t num_writers() const override { return writers_.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *readers_.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *writers_.at(i); }
-
- private:
-  std::vector<ParallelReader*> readers_;
-  std::vector<ParallelWriter*> writers_;
-};
-
-std::unique_ptr<ProtocolSystem> build_parallel(std::string name, Runtime& rt, HistoryRecorder& rec,
-                                               const SystemConfig& cfg);
+/// Assembles `simple`, `naive` and their fault-injection variants: one
+/// `make_server()` node per server shard, then ParallelReaders and
+/// ParallelWriters.
+std::unique_ptr<ProtocolSystem> build_parallel(
+    std::string name, Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg,
+    const std::function<std::unique_ptr<Node>()>& make_server = [] {
+      return std::make_unique<ParallelServer>();
+    });
 
 }  // namespace snowkit::detail

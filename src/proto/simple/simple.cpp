@@ -7,29 +7,21 @@ namespace snowkit {
 
 namespace detail {
 
-std::unique_ptr<ProtocolSystem> build_parallel(std::string name, Runtime& rt, HistoryRecorder& rec,
-                                               const SystemConfig& cfg) {
+std::unique_ptr<ProtocolSystem> build_parallel(
+    std::string name, Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg,
+    const std::function<std::unique_ptr<Node>()>& make_server) {
   cfg.validate();
   const Placement place(cfg);
   rec.attach_runtime(&rt);
   for (std::size_t i = 0; i < place.num_servers(); ++i) {
-    const NodeId id = rt.add_node(std::make_unique<ParallelServer>());
+    const NodeId id = rt.add_node(make_server());
     SNOW_CHECK(id == i);
   }
-  std::vector<ParallelReader*> readers;
-  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-    auto node = std::make_unique<ParallelReader>(rec, place);
-    readers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  std::vector<ParallelWriter*> writers;
-  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-    auto node = std::make_unique<ParallelWriter>(rec, place);
-    writers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  return std::make_unique<ParallelSystem>(std::move(name), cfg, rt, std::move(readers),
-                                          std::move(writers));
+  auto readers = add_clients<ReadClientApi>(
+      rt, cfg.num_readers, [&] { return std::make_unique<ParallelReader>(rec, place); });
+  auto writers = add_clients<WriteClientApi>(
+      rt, cfg.num_writers, [&] { return std::make_unique<ParallelWriter>(rec, place); });
+  return std::make_unique<ProtocolSystem>(std::move(name), cfg, rt, readers, writers);
 }
 
 }  // namespace detail

@@ -21,7 +21,7 @@ constexpr NodeId kR2 = 3;
 constexpr Value kX1 = 101;
 constexpr Value kY1 = 102;
 
-std::string values_str(const ReadResult& r) {
+std::string values_str(const TxnResult& r) {
   std::ostringstream oss;
   oss << "(";
   for (std::size_t i = 0; i < r.values.size(); ++i) {
@@ -65,18 +65,18 @@ ScriptedRun run_scripted(const std::vector<std::pair<NodeId, NodeId>>& pre_r1_re
 
   // W writes (x1, y1); it stays open until r1's info-reader is released.
   bool w_done = false;
-  invoke_write(sim, sys->writer(0), {{0, kX1}, {1, kY1}}, [&](const WriteResult&) { w_done = true; });
+  sys->client(0).submit(write_txn({{0, kX1}, {1, kY1}}), [&](const TxnResult&) { w_done = true; });
   sim.run_until_idle();
   SNOW_CHECK_MSG(!w_done, "W must be pending on r1's info-reader ack");
 
   ScriptedRun out;
-  ReadResult r1_result;
-  ReadResult r2_result;
+  TxnResult r1_result;
+  TxnResult r2_result;
   bool r1_done = false;
   bool r2_done = false;
 
   // I2: invoke R2; its request sends appear, deliveries stay held.
-  invoke_read(sim, sys->reader(1), {0, 1}, [&](const ReadResult& r) {
+  sys->client(1).submit(read_txn({0, 1}), [&](const TxnResult& r) {
     r2_result = r;
     r2_done = true;
   });
@@ -93,7 +93,7 @@ ScriptedRun run_scripted(const std::vector<std::pair<NodeId, NodeId>>& pre_r1_re
   if (invoke_r1_after_r2_completes) SNOW_CHECK(r2_done);
 
   // I1: invoke R1.
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) {
+  sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) {
     r1_result = r;
     r1_done = true;
   });

@@ -17,14 +17,14 @@ Fig5Result run_eiger_fig5() {
   const ObjectId A = 0;
   const ObjectId B = 1;
 
-  invoke_write(sim, sys->writer(0), {{B, 1}}, [](const WriteResult&) {});
+  sys->client(0).submit(write_txn({{B, 1}}), [](const TxnResult&) {});
   sim.run_until_idle();
   out.timeline.push_back("w1 = CW1 writes B=1; S_B commits it at ts 1; w1 completes");
 
   sim.hold_matching(script::all_of({script::payload_is("eiger-read"), script::to_node(A)}));
-  ReadResult r_result;
+  TxnResult r_result;
   bool r_done = false;
-  invoke_read(sim, sys->reader(0), {A, B}, [&](const ReadResult& r) {
+  sys->client(0).submit(read_txn({A, B}), [&](const TxnResult& r) {
     r_result = r;
     r_done = true;
   });
@@ -34,12 +34,12 @@ Fig5Result run_eiger_fig5() {
                          " rA is delayed by the network");
 
   bool w2_done = false;
-  invoke_write(sim, sys->writer(0), {{B, 2}}, [&](const WriteResult&) { w2_done = true; });
+  sys->client(0).submit(write_txn({{B, 2}}), [&](const TxnResult&) { w2_done = true; });
   sim.run_until_idle();
   SNOW_CHECK(w2_done);
   out.timeline.push_back("w2 = CW1 writes B=2 (arrives at S_B after rB); w2 completes");
 
-  invoke_write(sim, sys->writer(1), {{A, 3}}, [](const WriteResult&) {});
+  sys->client(1).submit(write_txn({{A, 3}}), [](const TxnResult&) {});
   sim.run_until_idle();
   out.timeline.push_back("w3 = CW2 writes A=3, invoked AFTER w2's response; CW2 has exchanged no "
                          "messages with CW1 or S_B, so S_A commits w3 at Lamport ts 1");

@@ -15,7 +15,7 @@ namespace {
 constexpr Value kX1 = 201;
 constexpr Value kY1 = 202;
 
-std::string values_str(const ReadResult& r) {
+std::string values_str(const TxnResult& r) {
   std::ostringstream oss;
   oss << "(";
   for (std::size_t i = 0; i < r.values.size(); ++i) {
@@ -48,9 +48,9 @@ DescentRun run_descent(int k) {
 
   bool w_done = false;
   bool r_done = false;
-  ReadResult r_result;
-  invoke_write(sim, sys->writer(0), {{0, kX1}, {1, kY1}}, [&](const WriteResult&) { w_done = true; });
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) {
+  TxnResult r_result;
+  sys->client(0).submit(write_txn({{0, kX1}, {1, kY1}}), [&](const TxnResult&) { w_done = true; });
+  sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) {
     r_result = r;
     r_done = true;
   });
@@ -97,14 +97,14 @@ TwoClientChainResult run_two_client_chain() {
     auto sys = build_naive(sim, rec, SystemConfig{2, 1, 1});
     sim.start();
     bool w_done = false;
-    invoke_write(sim, sys->writer(0), {{0, kX1}, {1, kY1}},
-                 [&](const WriteResult&) { w_done = true; });
+    sys->client(0).submit(write_txn({{0, kX1}, {1, kY1}}),
+                          [&](const TxnResult&) { w_done = true; });
     sim.run_until_idle();
     SNOW_CHECK(w_done);
     sim.hold_matching(script::payload_is("simple-read"));
-    ReadResult r_result;
+    TxnResult r_result;
     bool r_done = false;
-    invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) {
+    sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) {
       r_result = r;
       r_done = true;
     });
@@ -127,16 +127,16 @@ TwoClientChainResult run_two_client_chain() {
     auto sys = build_naive(sim, rec, SystemConfig{2, 1, 1});
     sim.start();
     sim.hold_matching(script::payload_is("simple-read"));
-    ReadResult r_result;
+    TxnResult r_result;
     bool r_done = false;
-    invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) {
+    sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) {
       r_result = r;
       r_done = true;
     });
     sim.run_until_idle();  // send(m_x), send(m_y) occur before INV(W)
     bool w_done = false;
-    invoke_write(sim, sys->writer(0), {{0, kX1}, {1, kY1}},
-                 [&](const WriteResult&) { w_done = true; });
+    sys->client(0).submit(write_txn({{0, kX1}, {1, kY1}}),
+                          [&](const TxnResult&) { w_done = true; });
     sim.run_until_idle();
     SNOW_CHECK(w_done && !r_done);
     sim.release_all();

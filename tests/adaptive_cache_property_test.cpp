@@ -34,16 +34,16 @@ struct Rig {
   }
 };
 
-ReadResult read_now(Rig& rig, std::size_t reader, std::vector<ObjectId> objs) {
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(reader), std::move(objs),
-              [&](const ReadResult& r) { result = r; });
+TxnResult read_now(Rig& rig, std::size_t reader, std::vector<ObjectId> objs) {
+  TxnResult result;
+  rig.sys->client(reader).submit(read_txn(std::move(objs)),
+                                 [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   return result;
 }
 
 void write_now(Rig& rig, std::size_t writer, std::vector<std::pair<ObjectId, Value>> writes) {
-  invoke_write(rig.sim, rig.sys->writer(writer), std::move(writes), [](const WriteResult&) {});
+  rig.sys->client(writer).submit(write_txn(std::move(writes)), [](const TxnResult&) {});
   rig.sim.run_until_idle();
 }
 
@@ -102,7 +102,7 @@ TEST(AdaptiveCacheProperty, HitServedOnlyWhileTheAnchorProofHolds) {
 
   // A write to object 0 moves latest[0]; its cached key no longer anchors.
   write_now(rig, 0, {{0, 3}});
-  const ReadResult r = read_now(rig, 0, {0, 1});
+  const TxnResult r = read_now(rig, 0, {0, 1});
   EXPECT_EQ(r.values[0].second, 3);
   EXPECT_EQ(r.values[1].second, 2);
   const AdaptiveStats s = rig.adaptive->stats();
@@ -133,7 +133,7 @@ TEST(AdaptiveCacheProperty, CacheNeverSurvivesATakeoverEpochBump) {
 
   // Post-failover READ rebuilds from the new lineage: all misses, correct
   // values (the backup replicated every acked write).
-  const ReadResult r = read_now(rig, 0, {0, 1});
+  const TxnResult r = read_now(rig, 0, {0, 1});
   EXPECT_EQ(r.values[0].second, 5);
   EXPECT_EQ(r.values[1].second, 6);
   const AdaptiveStats s = rig.adaptive->stats();

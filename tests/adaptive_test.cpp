@@ -31,23 +31,23 @@ struct Rig {
   }
 };
 
-ReadResult read_now(Rig& rig, std::size_t reader, std::vector<ObjectId> objs) {
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(reader), std::move(objs),
-              [&](const ReadResult& r) { result = r; });
+TxnResult read_now(Rig& rig, std::size_t reader, std::vector<ObjectId> objs) {
+  TxnResult result;
+  rig.sys->client(reader).submit(read_txn(std::move(objs)),
+                                 [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   return result;
 }
 
 void write_now(Rig& rig, std::size_t writer, std::vector<std::pair<ObjectId, Value>> writes) {
-  invoke_write(rig.sim, rig.sys->writer(writer), std::move(writes), [](const WriteResult&) {});
+  rig.sys->client(writer).submit(write_txn(std::move(writes)), [](const TxnResult&) {});
   rig.sim.run_until_idle();
 }
 
 TEST(Adaptive, WriteThenReadRoundTrip) {
   Rig rig(3);
   write_now(rig, 0, {{0, 1}, {1, 2}, {2, 3}});
-  const ReadResult result = read_now(rig, 0, {0, 2});
+  const TxnResult result = read_now(rig, 0, {0, 2});
   ASSERT_EQ(result.values.size(), 2u);
   EXPECT_EQ(result.values[0].second, 1);
   EXPECT_EQ(result.values[1].second, 3);
@@ -72,7 +72,7 @@ TEST(Adaptive, WriteHeavyObjectSwitchesToPrefetchMode) {
   // spanning only the C-mode object — prefetches Algorithm-C style and
   // completes in one round (object 1 stays B-mode and would cost a round 2).
   (void)read_now(rig, 0, {0, 1});
-  const ReadResult r2 = read_now(rig, 0, {0});
+  const TxnResult r2 = read_now(rig, 0, {0});
   EXPECT_EQ(r2.values[0].second, 60);
   const AdaptiveStats s = rig.adaptive->stats();
   EXPECT_GE(s.prefetch_resolved, 1u) << "C-mode object was never resolved from a prefetch";
@@ -86,7 +86,7 @@ TEST(Adaptive, CacheHitCompletesWithoutASecondRound) {
   ASSERT_NE(rig.adaptive, nullptr);
   write_now(rig, 0, {{0, 7}, {1, 8}});
   (void)read_now(rig, 0, {0, 1});  // populates the cache (two misses)
-  const ReadResult r2 = read_now(rig, 0, {0, 1});
+  const TxnResult r2 = read_now(rig, 0, {0, 1});
   EXPECT_EQ(r2.values[0].second, 7);
   EXPECT_EQ(r2.values[1].second, 8);
   const AdaptiveStats s = rig.adaptive->stats();
@@ -101,7 +101,7 @@ TEST(Adaptive, WriteInvalidatesExactlyTheOverwrittenObject) {
   write_now(rig, 0, {{0, 1}, {1, 2}});
   (void)read_now(rig, 0, {0, 1});
   write_now(rig, 0, {{0, 99}});  // supersedes the cached key for object 0 only
-  const ReadResult r = read_now(rig, 0, {0, 1});
+  const TxnResult r = read_now(rig, 0, {0, 1});
   EXPECT_EQ(r.values[0].second, 99) << "cache served a superseded version";
   EXPECT_EQ(r.values[1].second, 2);
   const AdaptiveStats s = rig.adaptive->stats();
@@ -120,7 +120,7 @@ TEST(Adaptive, BrokenCacheServesTheStaleVersion) {
   write_now(rig, 0, {{0, 1}});
   (void)read_now(rig, 0, {0});
   write_now(rig, 0, {{0, 2}});
-  const ReadResult r = read_now(rig, 0, {0});
+  const TxnResult r = read_now(rig, 0, {0});
   EXPECT_EQ(r.values[0].second, 1) << "broken_cache unexpectedly refetched — the planted "
                                       "bug is gone and the vacuity guard is meaningless";
   const auto verdict = check_tag_order(rig.rec.snapshot());

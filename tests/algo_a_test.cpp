@@ -27,13 +27,13 @@ struct Rig {
 TEST(AlgoA, SingleWriteThenRead) {
   Rig rig(2, 1);
   bool w_done = false;
-  invoke_write(rig.sim, rig.sys->writer(0), {{0, 10}, {1, 20}},
-               [&](const WriteResult&) { w_done = true; });
+  rig.sys->client(0).submit(write_txn({{0, 10}, {1, 20}}),
+                            [&](const TxnResult&) { w_done = true; });
   rig.sim.run_until_idle();
   ASSERT_TRUE(w_done);
 
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  rig.sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   ASSERT_EQ(result.values.size(), 2u);
   EXPECT_EQ(result.values[0], (std::pair<ObjectId, Value>{0, 10}));
@@ -42,8 +42,8 @@ TEST(AlgoA, SingleWriteThenRead) {
 
 TEST(AlgoA, ReadBeforeAnyWriteReturnsInitial) {
   Rig rig(3, 1);
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 1, 2}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  rig.sys->client(0).submit(read_txn({0, 1, 2}), [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   for (const auto& [obj, v] : result.values) EXPECT_EQ(v, kInitialValue) << "object " << obj;
 }
@@ -51,10 +51,10 @@ TEST(AlgoA, ReadBeforeAnyWriteReturnsInitial) {
 TEST(AlgoA, PartialWriteSetLookup) {
   // Write only object 1; a read of {0,1} must see initial for 0.
   Rig rig(2, 1);
-  invoke_write(rig.sim, rig.sys->writer(0), {{1, 5}}, [](const WriteResult&) {});
+  rig.sys->client(0).submit(write_txn({{1, 5}}), [](const TxnResult&) {});
   rig.sim.run_until_idle();
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  rig.sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, kInitialValue);
   EXPECT_EQ(result.values[1].second, 5);
@@ -70,12 +70,12 @@ TEST(AlgoA, ConcurrentReadIsSnapshotOfList) {
   sim.start();
   sim.hold_matching(script::payload_is("info-reader"));
   bool w_done = false;
-  invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [&](const WriteResult&) { w_done = true; });
+  sys->client(0).submit(write_txn({{0, 10}, {1, 20}}), [&](const TxnResult&) { w_done = true; });
   sim.run_until_idle();
   EXPECT_FALSE(w_done);  // blocked on info-reader ack
 
-  ReadResult result;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) { result = r; });
   sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, kInitialValue);
   EXPECT_EQ(result.values[1].second, kInitialValue);
@@ -151,19 +151,19 @@ TEST(AlgoA, MultiReaderDemoViolatesS) {
   opts.allow_multiple_readers = true;
   auto sys = build_algo_a(sim, rec, SystemConfig{2, 2, 1}, opts);
   sim.start();
-  const NodeId r2_node = sys->reader(1).node_id();
+  const NodeId r2_node = sys->reader_node(1);
   sim.hold_matching(script::all_of({script::payload_is("info-reader"), script::to_node(r2_node)}));
 
-  invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [](const WriteResult&) {});
+  sys->client(0).submit(write_txn({{0, 10}, {1, 20}}), [](const TxnResult&) {});
   sim.run_until_idle();
 
-  ReadResult r1;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) { r1 = r; });
+  TxnResult r1;
+  sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) { r1 = r; });
   sim.run_until_idle();
   EXPECT_EQ(r1.values[0].second, 10);  // r1 sees the new version
 
-  ReadResult r2;
-  invoke_read(sim, sys->reader(1), {0, 1}, [&](const ReadResult& r) { r2 = r; });
+  TxnResult r2;
+  sys->client(1).submit(read_txn({0, 1}), [&](const TxnResult& r) { r2 = r; });
   sim.run_until_idle();
   EXPECT_EQ(r2.values[0].second, kInitialValue);  // r2, later, sees the old one
 

@@ -28,10 +28,10 @@ struct Rig {
 
 TEST(AlgoB, WriteThenReadRoundTrip) {
   Rig rig(3, 1, 1);
-  invoke_write(rig.sim, rig.sys->writer(0), {{0, 1}, {1, 2}, {2, 3}}, [](const WriteResult&) {});
+  rig.sys->client(0).submit(write_txn({{0, 1}, {1, 2}, {2, 3}}), [](const TxnResult&) {});
   rig.sim.run_until_idle();
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 2}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  rig.sys->client(0).submit(read_txn({0, 2}), [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   ASSERT_EQ(result.values.size(), 2u);
   EXPECT_EQ(result.values[0].second, 1);
@@ -89,10 +89,10 @@ TEST(AlgoB, VersionRequestedIsAlwaysPresent) {
 
 TEST(AlgoB, NonDefaultCoordinator) {
   Rig rig(3, 1, 1, /*seed=*/5, /*coor=*/2);
-  invoke_write(rig.sim, rig.sys->writer(0), {{0, 7}}, [](const WriteResult&) {});
+  rig.sys->client(0).submit(write_txn({{0, 7}}), [](const TxnResult&) {});
   rig.sim.run_until_idle();
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  rig.sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, 7);
   EXPECT_EQ(result.values[1].second, kInitialValue);
@@ -109,12 +109,12 @@ TEST(AlgoB, ReadConcurrentWithWriteGetsConsistentCut) {
   sim.start();
   sim.hold_matching(script::payload_is("update-coor"));
   bool w_done = false;
-  invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [&](const WriteResult&) { w_done = true; });
+  sys->client(0).submit(write_txn({{0, 10}, {1, 20}}), [&](const TxnResult&) { w_done = true; });
   sim.run_until_idle();
   EXPECT_FALSE(w_done);
 
-  ReadResult result;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) { result = r; });
   sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, kInitialValue);
   EXPECT_EQ(result.values[1].second, kInitialValue);

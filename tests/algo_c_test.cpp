@@ -29,10 +29,10 @@ struct Rig {
 
 TEST(AlgoC, WriteThenReadRoundTrip) {
   Rig rig(3, 1, 1);
-  invoke_write(rig.sim, rig.sys->writer(0), {{0, 1}, {2, 3}}, [](const WriteResult&) {});
+  rig.sys->client(0).submit(write_txn({{0, 1}, {2, 3}}), [](const TxnResult&) {});
   rig.sim.run_until_idle();
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 1, 2}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  rig.sys->client(0).submit(read_txn({0, 1, 2}), [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, 1);
   EXPECT_EQ(result.values[1].second, kInitialValue);
@@ -91,12 +91,12 @@ TEST(AlgoC, DescentHandlesOvertakingReadVals) {
        script::payload_is("read-vals"), script::payload_is("get-tag-arr")}));
 
   bool w_done = false;
-  invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [&](const WriteResult&) { w_done = true; });
+  sys->client(0).submit(write_txn({{0, 10}, {1, 20}}), [&](const TxnResult&) { w_done = true; });
   sim.run_until_idle();  // write-val@s_x delivered+acked; write-val@s_y held
 
-  ReadResult result;
+  TxnResult result;
   bool r_done = false;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) {
+  sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) {
     result = r;
     r_done = true;
   });
@@ -174,10 +174,10 @@ TEST(AlgoC, GcPreservesStrictSerializabilityAcrossSeeds) {
 
 TEST(AlgoC, CoordinatorAlsoServesItsObject) {
   Rig rig(2, 1, 1);
-  invoke_write(rig.sim, rig.sys->writer(0), {{0, 77}}, [](const WriteResult&) {});
+  rig.sys->client(0).submit(write_txn({{0, 77}}), [](const TxnResult&) {});
   rig.sim.run_until_idle();
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(0), {0}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  rig.sys->client(0).submit(read_txn({0}), [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, 77);  // get-tag-arr + read-vals both at s*
 }

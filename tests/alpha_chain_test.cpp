@@ -1,6 +1,8 @@
 // The Fig. 3 chain (Theorem 1) must reproduce end to end.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "checker/serializability.hpp"
 #include "theory/alpha_chain.hpp"
 
@@ -30,6 +32,34 @@ TEST(AlphaChain, Alpha10PutsR2WhollyBeforeR1) {
   const auto& a10 = result.steps[4];
   EXPECT_EQ(a10.name, "alpha10");
   EXPECT_EQ(a10.order, "I2 ◦ F2y ◦ F2x ◦ E2 ◦ I1 ◦ F1x ◦ F1y ◦ E1");
+}
+
+TEST(AlphaChain, EveryStepIsPinned) {
+  // Pins the sim schedule of every step: its fragment order and both READs'
+  // return values.
+  struct Pin {
+    const char* name;
+    const char* order;
+    const char* r1_values;
+    const char* r2_values;
+  };
+  const Pin pins[] = {
+      {"alpha6", "I2 ◦ I1 ◦ F1x ◦ F2y ◦ F1y ◦ E1 ◦ F2x ◦ E2", "(x0,y0)", "(x1,y1)"},
+      {"alpha7", "I2 ◦ I1 ◦ F1x ◦ F2y ◦ F2x ◦ F1y ◦ E1 ◦ E2", "(x0,y0)", "(x1,y1)"},
+      {"alpha8", "I2 ◦ F2y ◦ I1 ◦ F1x ◦ F2x ◦ F1y ◦ E1 ◦ E2", "(x0,y0)", "(x1,y1)"},
+      {"alpha9", "I2 ◦ F2y ◦ I1 ◦ F2x ◦ F1x ◦ F1y ◦ E1 ◦ E2", "(x0,y0)", "(x1,y1)"},
+      {"alpha10", "I2 ◦ F2y ◦ F2x ◦ E2 ◦ I1 ◦ F1x ◦ F1y ◦ E1", "(x0,y0)", "(x1,y1)"},
+      {"alpha10*", "P ◦ R2 ◦ R1 ◦ S", "(x0,y0)", "(x1,y1)"},
+  };
+  AlphaChainResult result = run_alpha_chain();
+  ASSERT_EQ(result.steps.size(), std::size(pins));
+  for (std::size_t i = 0; i < result.steps.size(); ++i) {
+    const ChainStep& step = result.steps[i];
+    EXPECT_EQ(step.name, pins[i].name) << "step " << i;
+    EXPECT_EQ(step.order, pins[i].order) << step.name;
+    EXPECT_EQ(step.r1_values, pins[i].r1_values) << step.name;
+    EXPECT_EQ(step.r2_values, pins[i].r2_values) << step.name;
+  }
 }
 
 TEST(AlphaChain, FinalHistoryRejectedByChecker) {

@@ -16,10 +16,10 @@ TEST(Blocking, WriteThenRead) {
   SimRuntime sim;
   HistoryRecorder rec(3);
   auto sys = build_blocking(sim, rec, SystemConfig{3, 1, 1});
-  invoke_write(sim, sys->writer(0), {{0, 1}, {2, 3}}, [](const WriteResult&) {});
+  sys->client(0).submit(write_txn({{0, 1}, {2, 3}}), [](const TxnResult&) {});
   sim.run_until_idle();
-  ReadResult result;
-  invoke_read(sim, sys->reader(0), {0, 1, 2}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  sys->client(0).submit(read_txn({0, 1, 2}), [&](const TxnResult& r) { result = r; });
   sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, 1);
   EXPECT_EQ(result.values[1].second, kInitialValue);
@@ -55,13 +55,13 @@ TEST(Blocking, ReaderBlocksBehindWriterLock) {
   sim.start();
   sim.hold_matching(script::payload_is("write-unlock"));
   bool w_done = false;
-  invoke_write(sim, sys->writer(0), {{0, 9}, {1, 9}}, [&](const WriteResult&) { w_done = true; });
+  sys->client(0).submit(write_txn({{0, 9}, {1, 9}}), [&](const TxnResult&) { w_done = true; });
   sim.run_until_idle();
   EXPECT_FALSE(w_done);  // locks held, writes not applied
 
   bool r_done = false;
-  ReadResult result;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) {
+  TxnResult result;
+  sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) {
     result = r;
     r_done = true;
   });
@@ -86,8 +86,8 @@ TEST(Blocking, RoundsGrowWithReadSpan) {
   SimRuntime sim;
   HistoryRecorder rec(4);
   auto sys = build_blocking(sim, rec, SystemConfig{4, 1, 0});
-  ReadResult result;
-  invoke_read(sim, sys->reader(0), {0, 1, 2, 3}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  sys->client(0).submit(read_txn({0, 1, 2, 3}), [&](const TxnResult& r) { result = r; });
   sim.run_until_idle();
   const History h = rec.snapshot();
   EXPECT_EQ(max_read_rounds(h), 4);  // sequential lock acquisition
@@ -102,8 +102,8 @@ TEST(Blocking, NoDeadlockWithOpposingAccessOrders) {
     auto sys = build_blocking(sim, rec, SystemConfig{2, 1, 1});
     bool r_done = false;
     bool w_done = false;
-    invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult&) { r_done = true; });
-    invoke_write(sim, sys->writer(0), {{1, 5}, {0, 6}}, [&](const WriteResult&) { w_done = true; });
+    sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult&) { r_done = true; });
+    sys->client(0).submit(write_txn({{1, 5}, {0, 6}}), [&](const TxnResult&) { w_done = true; });
     sim.run_until_idle();
     EXPECT_TRUE(r_done && w_done) << "seed " << seed;
   }

@@ -17,10 +17,10 @@ TEST(Eiger, BasicWriteRead) {
   SimRuntime sim;
   HistoryRecorder rec(2);
   auto sys = build_eiger(sim, rec, SystemConfig{2, 1, 1});
-  invoke_write(sim, sys->writer(0), {{0, 5}, {1, 6}}, [](const WriteResult&) {});
+  sys->client(0).submit(write_txn({{0, 5}, {1, 6}}), [](const TxnResult&) {});
   sim.run_until_idle();
-  ReadResult result;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) { result = r; });
   sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, 5);
   EXPECT_EQ(result.values[1].second, 6);
@@ -53,20 +53,20 @@ TEST(Eiger, SlowPathReReadsAtEffectiveTime) {
   auto sys = build_eiger(sim, rec, SystemConfig{2, 1, 1});
   sim.start();
   for (int i = 1; i <= 3; ++i) {
-    invoke_write(sim, sys->writer(0), {{0, i * 10}}, [](const WriteResult&) {});
+    sys->client(0).submit(write_txn({{0, i * 10}}), [](const TxnResult&) {});
     sim.run_until_idle();
   }
   // Hold the READ's request to s_1; deliver to s_0 first; then another write
   // to object 1 bumps s_1's clock past s_0's interval before m_y arrives.
   sim.hold_matching(script::all_of({script::payload_is("eiger-read"), script::to_node(1)}));
-  ReadResult result;
+  TxnResult result;
   bool r_done = false;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) {
+  sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) {
     result = r;
     r_done = true;
   });
   sim.run_until_idle();
-  invoke_write(sim, sys->writer(0), {{1, 99}}, [](const WriteResult&) {});
+  sys->client(0).submit(write_txn({{1, 99}}), [](const TxnResult&) {});
   sim.run_until_idle();
   sim.hold_matching(nullptr);
   sim.release_all();
@@ -93,14 +93,14 @@ TEST(Eiger, Fig5ViolationScripted) {
   const ObjectId B = 1;
 
   // w1 = write(B, 1) by CW1, completes.
-  invoke_write(sim, sys->writer(0), {{B, 1}}, [](const WriteResult&) {});
+  sys->client(0).submit(write_txn({{B, 1}}), [](const TxnResult&) {});
   sim.run_until_idle();
 
   // R = {rA, rB} invoked; hold rA (to S_A); deliver rB at S_B now (before w2).
   sim.hold_matching(script::all_of({script::payload_is("eiger-read"), script::to_node(A)}));
-  ReadResult result;
+  TxnResult result;
   bool r_done = false;
-  invoke_read(sim, sys->reader(0), {A, B}, [&](const ReadResult& r) {
+  sys->client(0).submit(read_txn({A, B}), [&](const TxnResult& r) {
     result = r;
     r_done = true;
   });
@@ -110,10 +110,10 @@ TEST(Eiger, Fig5ViolationScripted) {
   // w2 = write(B, 2) by CW1 completes; then w3 = write(A, 3) by CW2 —
   // invoked strictly after w2's response.
   bool w2_done = false;
-  invoke_write(sim, sys->writer(0), {{B, 2}}, [&](const WriteResult&) { w2_done = true; });
+  sys->client(0).submit(write_txn({{B, 2}}), [&](const TxnResult&) { w2_done = true; });
   sim.run_until_idle();
   ASSERT_TRUE(w2_done);
-  invoke_write(sim, sys->writer(1), {{A, 3}}, [](const WriteResult&) {});
+  sys->client(1).submit(write_txn({{A, 3}}), [](const TxnResult&) {});
   sim.run_until_idle();
 
   // Now deliver rA at S_A: returns w3 with a low logical interval that
@@ -124,6 +124,9 @@ TEST(Eiger, Fig5ViolationScripted) {
   ASSERT_TRUE(r_done);
   EXPECT_EQ(result.values[0].second, 3);  // rA = w3
   EXPECT_EQ(result.values[1].second, 1);  // rB = w1  (missed w2!)
+
+  // Pins the whole scripted schedule.
+  EXPECT_EQ(trace_fingerprint(sim.trace()), 13280454014873184967ull);
 
   const History h = rec.snapshot();
   auto verdict = check_strict_serializability(h);

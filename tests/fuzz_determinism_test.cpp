@@ -134,8 +134,8 @@ TEST(FuzzDeterminism, GcOnOffAgreeOnQuiescentStateAndSafety) {
         WorkloadDriver driver(sim, *sys, spec);
         driver.start();
         sim.run_until_idle();
-        ReadResult result;
-        invoke_read(sim, sys->reader(0), {0, 1, 2}, [&](const ReadResult& r) { result = r; });
+        TxnResult result;
+        sys->client(0).submit(read_txn({0, 1, 2}), [&](const TxnResult& r) { result = r; });
         sim.run_until_idle();
         finals[gc ? 1 : 0] = result.values;
         auto verdict = check_tag_order(rec.snapshot());

@@ -17,7 +17,7 @@ TEST(WireStats, CountsMessagesAndBytesOnSim) {
   sim.set_observer(&wire);
   HistoryRecorder rec(2);
   auto sys = build_protocol("simple", sim, rec, SystemConfig{2, 1, 1});
-  invoke_write(sim, sys->writer(0), {{0, 1}, {1, 2}}, [](const WriteResult&) {});
+  sys->client(0).submit(write_txn({{0, 1}, {1, 2}}), [](const TxnResult&) {});
   sim.run_until_idle();
   EXPECT_EQ(wire.messages(), 4u);  // 2 writes + 2 acks
   EXPECT_GT(wire.bytes(), 0u);

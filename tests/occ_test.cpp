@@ -17,10 +17,10 @@ TEST(OccReads, UncontendedReadTakesOneRound) {
   SimRuntime sim;
   HistoryRecorder rec(3);
   auto sys = build_protocol("occ-reads", sim, rec, SystemConfig{3, 1, 1});
-  invoke_write(sim, sys->writer(0), {{0, 5}, {2, 7}}, [](const WriteResult&) {});
+  sys->client(0).submit(write_txn({{0, 5}, {2, 7}}), [](const TxnResult&) {});
   sim.run_until_idle();
-  ReadResult result;
-  invoke_read(sim, sys->reader(0), {0, 1, 2}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  sys->client(0).submit(read_txn({0, 1, 2}), [&](const TxnResult& r) { result = r; });
   sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, 5);
   EXPECT_EQ(result.values[1].second, kInitialValue);
@@ -28,8 +28,8 @@ TEST(OccReads, UncontendedReadTakesOneRound) {
   const History h = rec.snapshot();
   // One optimistic round sufficed... except for the very first read after a
   // write: guesses start at kappa_0, so exactly one retry.  Re-read:
-  ReadResult again;
-  invoke_read(sim, sys->reader(0), {0, 2}, [&](const ReadResult& r) { again = r; });
+  TxnResult again;
+  sys->client(0).submit(read_txn({0, 2}), [&](const TxnResult& r) { again = r; });
   sim.run_until_idle();
   const History h2 = rec.snapshot();
   EXPECT_EQ(h2.txns.back().rounds, 2) << "first read re-validates once after the write";
@@ -87,17 +87,17 @@ TEST(OccReads, ContentionForcesRetries) {
   // Chain 4 writes; each blocks at its held update-coor until released.
   int writes_done = 0;
   std::function<void()> next_write = [&] {
-    invoke_write(sim, sys->writer(0), {{0, 10 + writes_done}, {1, 20 + writes_done}},
-                 [&](const WriteResult&) {
-                   ++writes_done;
-                   if (writes_done < 4) next_write();
-                 });
+    sys->client(0).submit(write_txn({{0, 10 + writes_done}, {1, 20 + writes_done}}),
+                          [&](const TxnResult&) {
+                            ++writes_done;
+                            if (writes_done < 4) next_write();
+                          });
   };
   next_write();
   sim.run_until_idle();
 
   bool r_done = false;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult&) { r_done = true; });
+  sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult&) { r_done = true; });
   sim.run_until_idle();  // round 1's get-tag-arr is held
   EXPECT_FALSE(r_done);
 

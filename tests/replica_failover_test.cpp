@@ -139,14 +139,13 @@ TEST(ReplicaFailover, RestartedPrimaryRejoinsAndTakesOverAgain) {
   const NodeId backup1 = backup_of(2, 1, 1, 1);
   auto write = [&](Value a, Value b) {
     bool done = false;
-    invoke_write(rig.sim, rig.sys->writer(0), {{0, a}, {1, b}},
-                 [&](const WriteResult&) { done = true; });
+    rig.sys->client(0).submit(write_txn({{0, a}, {1, b}}), [&](const TxnResult&) { done = true; });
     rig.sim.run_until_idle();
     EXPECT_TRUE(done);
   };
   auto read = [&](Value a, Value b) {
-    ReadResult result;
-    invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+    TxnResult result;
+    rig.sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) { result = r; });
     rig.sim.run_until_idle();
     ASSERT_EQ(result.values.size(), 2u);
     EXPECT_EQ(result.values[0].second, a);
@@ -184,8 +183,8 @@ TEST(ReplicaFailover, UpdateCoorRetryIsDeduplicatedNotDoubleListed) {
   rig.sim.start();
   rig.sim.hold_matching(script::payload_is("update-coor-ack"));
   bool w_done = false;
-  invoke_write(rig.sim, rig.sys->writer(0), {{0, 10}, {1, 20}},
-               [&](const WriteResult&) { w_done = true; });
+  rig.sys->client(0).submit(write_txn({{0, 10}, {1, 20}}),
+                            [&](const TxnResult&) { w_done = true; });
   rig.sim.run_until_idle();
   ASSERT_FALSE(w_done);  // listed and replicated, but the ack is held
   ASSERT_GE(rig.sim.held_count(), 1u);
@@ -195,8 +194,8 @@ TEST(ReplicaFailover, UpdateCoorRetryIsDeduplicatedNotDoubleListed) {
   rig.sim.run_until_idle();
   EXPECT_TRUE(w_done) << "retry against the new coordinator was not re-acked";
 
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  rig.sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   ASSERT_EQ(result.values.size(), 2u);
   EXPECT_EQ(result.values[0].second, 10);

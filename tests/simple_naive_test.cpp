@@ -40,12 +40,12 @@ TEST(Naive, FracturedReadUnderAdversary) {
   sim.start();
   sim.hold_matching(script::all_of({script::payload_is("simple-write"), script::to_node(1)}));
   bool w_done = false;
-  invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [&](const WriteResult&) { w_done = true; });
+  sys->client(0).submit(write_txn({{0, 10}, {1, 20}}), [&](const TxnResult&) { w_done = true; });
   sim.run_until_idle();  // object 0 updated; object 1's write held
   EXPECT_FALSE(w_done);
 
-  ReadResult result;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  sys->client(0).submit(read_txn({0, 1}), [&](const TxnResult& r) { result = r; });
   sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, 10);
   EXPECT_EQ(result.values[1].second, kInitialValue);
@@ -68,9 +68,9 @@ TEST(Naive, BenignSchedulesLookSerializable) {
   HistoryRecorder rec(2);
   auto sys = build_naive(sim, rec, SystemConfig{2, 1, 1});
   for (int i = 1; i <= 5; ++i) {
-    invoke_write(sim, sys->writer(0), {{0, i * 10}, {1, i * 10 + 1}}, [](const WriteResult&) {});
+    sys->client(0).submit(write_txn({{0, i * 10}, {1, i * 10 + 1}}), [](const TxnResult&) {});
     sim.run_until_idle();
-    invoke_read(sim, sys->reader(0), {0, 1}, [](const ReadResult&) {});
+    sys->client(0).submit(read_txn({0, 1}), [](const TxnResult&) {});
     sim.run_until_idle();
   }
   auto verdict = check_strict_serializability(rec.snapshot());

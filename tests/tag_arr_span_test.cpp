@@ -63,13 +63,13 @@ SpanRead span2_read(const std::string& protocol, std::size_t k) {
   sim.start();
 
   bool wrote = false;
-  sys->writer(0).write({{5, 11}, {40, 12}}, [&](const WriteResult&) { wrote = true; });
+  sys->client(0).submit(write_txn({{5, 11}, {40, 12}}), [&](const TxnResult&) { wrote = true; });
   sim.run_until_idle();
   EXPECT_TRUE(wrote);
 
   SpanRead out;
   bool read = false;
-  sys->reader(0).read({40, 5}, [&](const ReadResult& r) {
+  sys->client(0).submit(read_txn({40, 5}), [&](const TxnResult& r) {
     out.values = r.values;
     read = true;
   });

@@ -23,9 +23,9 @@ struct ScriptedRead {
     sim.start();
     sim.hold_matching(script::any_of(
         {script::payload_is("simple-read"), script::payload_is("simple-read-resp")}));
-    invoke_read(sim, sys->reader(0), {0, 1}, [](const ReadResult&) {});
+    sys->client(0).submit(read_txn({0, 1}), [](const TxnResult&) {});
     sim.run_until_idle();
-    const NodeId reader = sys->reader(0).node_id();
+    const NodeId reader = sys->reader_node(0);
     script::release_one_and_drain(sim, script::to_node(0));       // Fx
     script::release_one_and_drain(sim, script::to_node(1));       // Fy
     script::release_one_and_drain(sim, script::between(0, reader));  // E begins
@@ -34,9 +34,14 @@ struct ScriptedRead {
   }
 };
 
+TEST(Fragments, ScriptedReadScheduleIsPinned) {
+  ScriptedRead s;
+  EXPECT_EQ(trace_fingerprint(s.sim.trace()), 8734600319551940370ull);
+}
+
 TEST(Fragments, ExtractInvocation) {
   ScriptedRead s;
-  const NodeId reader = s.sys->reader(0).node_id();
+  const NodeId reader = s.sys->reader_node(0);
   auto i = extract_invocation_fragment(s.sim.trace(), s.txn, reader, "I");
   ASSERT_TRUE(i.has_value());
   EXPECT_EQ(i->node, reader);
@@ -56,7 +61,7 @@ TEST(Fragments, ExtractServerFragments) {
 
 TEST(Fragments, ExtractResponse) {
   ScriptedRead s;
-  const NodeId reader = s.sys->reader(0).node_id();
+  const NodeId reader = s.sys->reader_node(0);
   auto e = extract_response_fragment(s.sim.trace(), s.txn, reader, "E");
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->indices.size(), 3u);  // recv, recv, RESP
@@ -65,7 +70,7 @@ TEST(Fragments, ExtractResponse) {
 
 TEST(Fragments, OrderString) {
   ScriptedRead s;
-  const NodeId reader = s.sys->reader(0).node_id();
+  const NodeId reader = s.sys->reader_node(0);
   auto i = *extract_invocation_fragment(s.sim.trace(), s.txn, reader, "I");
   auto fx = *extract_server_fragment(s.sim.trace(), s.txn, 0, "Fx");
   auto fy = *extract_server_fragment(s.sim.trace(), s.txn, 1, "Fy");
@@ -96,7 +101,7 @@ TEST(Commute, RefusesSameAutomaton) {
 
 TEST(Commute, RefusesCausallyDependentSwap) {
   ScriptedRead s;
-  const NodeId reader = s.sys->reader(0).node_id();
+  const NodeId reader = s.sys->reader_node(0);
   // I sends the request that Fx receives: swapping I and Fx would put a
   // recv before its send.
   auto i = *extract_invocation_fragment(s.sim.trace(), s.txn, reader, "I");
@@ -110,7 +115,7 @@ TEST(Commute, RefusesCausallyDependentSwap) {
 TEST(Commute, RefusesNonAdjacentFragments) {
   ScriptedRead s;
   auto fx = *extract_server_fragment(s.sim.trace(), s.txn, 0, "Fx");
-  const NodeId reader = s.sys->reader(0).node_id();
+  const NodeId reader = s.sys->reader_node(0);
   auto e = *extract_response_fragment(s.sim.trace(), s.txn, reader, "E");
   auto result = commute(s.sim.trace(), fx, e);
   EXPECT_FALSE(result.ok);

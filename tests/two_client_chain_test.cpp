@@ -1,6 +1,8 @@
 // The Fig. 4 construction (Theorem 2) must reproduce end to end.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "theory/two_client_chain.hpp"
 
 namespace snowkit::theory {
@@ -12,6 +14,33 @@ TEST(TwoClientChain, AllStepsVerify) {
   for (const auto& step : result.steps) {
     EXPECT_TRUE(step.verified) << step.name << ": " << step.note;
   }
+}
+
+TEST(TwoClientChain, EveryStepIsPinned) {
+  // Pins the sim schedule of every step through the READ's return values,
+  // and the flip the descent finds.
+  struct Pin {
+    const char* name;
+    const char* read_values;
+  };
+  const Pin pins[] = {
+      {"alpha", "-"},
+      {"beta", "(x1,y1)"},
+      {"gamma/eta", "(x1,y1)"},
+      {"delta(k=0)", "(x0,y0)"},
+      {"delta(k=1)", "(x1,y0)"},
+      {"delta(k=2)", "(x1,y1)"},
+      {"delta(k=3)", "(x1,y1)"},
+      {"delta(k=4)", "(x1,y1)"},
+  };
+  TwoClientChainResult result = run_two_client_chain();
+  ASSERT_EQ(result.steps.size(), std::size(pins));
+  for (std::size_t i = 0; i < result.steps.size(); ++i) {
+    EXPECT_EQ(result.steps[i].name, pins[i].name) << "step " << i;
+    EXPECT_EQ(result.steps[i].read_values, pins[i].read_values) << result.steps[i].name;
+  }
+  EXPECT_EQ(result.flip_k, 2);
+  EXPECT_EQ(result.flip_location, "n1 (server)");
 }
 
 TEST(TwoClientChain, BetaReturnsNewValues) {
